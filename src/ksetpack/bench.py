@@ -22,7 +22,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ORACLE_CAP, max_packing_exact, max_packing_value
+from .exact import ORACLE_CAP, max_packing_exact
 from .instance import (
     Instance,
     Packing,
@@ -32,7 +32,7 @@ from .instance import (
     packing_value,
 )
 from .local_search import log_local_search, t_local_search
-from .relaxation import CLIQUE_CAP, integrality_gap
+from .relaxation import CLIQUE_CAP, relaxation_value
 from .util import (
     CapExceededError,
     DEFAULT_WORK_LIMIT,
@@ -127,29 +127,24 @@ def run_algorithm(
     stats = SearchStats()
     if name == "exact":
         members = max_packing_exact(instance, cap=oracle_cap).members
-    elif name == "greedy":
-        members = tuple(sorted(greedy_weighted(conflict_graph(instance))))
     elif name == "local":
         members = t_local_search(instance, args[0], budget, stats).members
     elif name == "loglocal":
         members = log_local_search(instance, args[0], budget, stats).members
-    elif name == "wishful":
-        chosen = wishful_thinking(
-            conflict_graph(instance), instance.k + 1, budget=budget, stats=stats
-        )
-        members = tuple(sorted(chosen))
-    elif name == "squareimp":
-        chosen = square_imp(
-            conflict_graph(instance),
-            max_talons=instance.k,
-            budget=budget,
-            stats=stats,
-        )
-        members = tuple(sorted(chosen))
-    else:  # power
-        chosen = power_local_search(
-            conflict_graph(instance), args[0], args[1], budget=budget, stats=stats
-        )
+    else:  # the weighted searches, on the conflict graph
+        graph = conflict_graph(instance)
+        if name == "greedy":
+            chosen = greedy_weighted(graph)
+        elif name == "wishful":
+            chosen = wishful_thinking(graph, instance.k + 1, budget=budget, stats=stats)
+        elif name == "squareimp":
+            chosen = square_imp(
+                graph, max_talons=instance.k, budget=budget, stats=stats
+            )
+        else:  # power
+            chosen = power_local_search(
+                graph, args[0], args[1], budget=budget, stats=stats
+            )
         members = tuple(sorted(chosen))
     value = packing_value(instance, Packing(members=members))
     return AlgoRun(
@@ -335,34 +330,39 @@ def run_bench(config: BenchConfig) -> list[dict[str, str]]:
                 k=str(instance.k),
             )
 
-            exact_value: Fraction | None = None
+            # One oracle call per instance: it feeds the exact column, the
+            # gaps and the `exact` rows.  Without it there are no gaps.
+            exact: AlgoRun | None = None
             try:
-                exact_value = max_packing_value(instance, cap=config.oracle_cap)
-                base["exact"] = format_fraction(exact_value)
+                optimum = max_packing_exact(instance, cap=config.oracle_cap)
             except CapExceededError:
                 pass
-            for variant in config.gaps:
-                try:
-                    gap = integrality_gap(
-                        instance,
-                        variant,
-                        oracle_cap=config.oracle_cap,
-                        clique_cap=config.clique_cap,
-                    )
-                    base[f"gap_{variant}"] = format_fraction(gap)
-                except CapExceededError:
-                    pass
+            else:
+                value = packing_value(instance, optimum)
+                exact = AlgoRun("exact", optimum.members, value, 0, 0)
+                base["exact"] = format_fraction(value)
+                for variant in config.gaps:
+                    try:
+                        lp_value = relaxation_value(
+                            instance, variant, clique_cap=config.clique_cap
+                        )
+                        base[f"gap_{variant}"] = format_fraction(lp_value / value)
+                    except CapExceededError:
+                        pass
 
             for token in config.algorithms:
                 row = dict(base)
                 row["algorithm"] = token
                 try:
-                    run = run_algorithm(
-                        instance,
-                        token,
-                        work_limit=config.work_limit,
-                        oracle_cap=config.oracle_cap,
-                    )
+                    if token == "exact" and exact is not None:
+                        run = exact
+                    else:
+                        run = run_algorithm(
+                            instance,
+                            token,
+                            work_limit=config.work_limit,
+                            oracle_cap=config.oracle_cap,
+                        )
                 except CapExceededError as exc:
                     row["status"] = "cap_exceeded"
                     row["note"] = str(exc)
@@ -374,8 +374,8 @@ def run_bench(config: BenchConfig) -> list[dict[str, str]]:
                     row["value"] = format_fraction(run.value)
                     row["iterations"] = str(run.iterations)
                     row["work"] = str(run.work)
-                    if exact_value is not None:
-                        row["ratio"] = format_fraction(exact_value / run.value)
+                    if exact is not None:
+                        row["ratio"] = format_fraction(exact.value / run.value)
                 rows.append(row)
     return rows
 

@@ -1,6 +1,10 @@
 """Unweighted local search: t-improving sets, the ratio-bound calculator,
 and the auxiliary-multigraph search for improvements of logarithmic size.
 
+The t-swap search is the swap engine of `weighted` with unit potential: a
+swap of at most t outside sets must raise the packing's cardinality.  It
+runs on the conflict graph, built once per search.
+
 The auxiliary-multigraph route comes with a caveat: a dense subgraph of the
 auxiliary graph does NOT necessarily yield a usable improvement, because the
 outside sets behind its edges may intersect each other.  Every candidate is
@@ -21,6 +25,7 @@ from .instance import (
 )
 from .multigraph import Multigraph, induced_edge_count, find_dense_subgraph
 from .util import SearchStats, WorkBudget
+from .weighted import _search, _t_swap_step
 
 
 @dataclass(frozen=True)
@@ -32,26 +37,13 @@ class ImprovingSet:
     outgoing: tuple[int, ...]
 
 
-def _disjoint_subsets(candidates, adjacent, size, budget):
-    """Yield all pairwise-nonadjacent subsets of `candidates` of exactly
-    `size`, in lexicographic order, pruning conflicts as early as possible."""
-
-    chosen: list[int] = []
-
-    def extend(start: int):
-        if len(chosen) == size:
-            yield tuple(chosen)
-            return
-        for idx in range(start, len(candidates)):
-            budget.spend()
-            c = candidates[idx]
-            if any(adjacent(c, p) for p in chosen):
-                continue
-            chosen.append(c)
-            yield from extend(idx + 1)
-            chosen.pop()
-
-    yield from extend(0)
+def _unit_swap_step(instance: Instance, packing: Packing, t: int, budget):
+    """The engine's t-swap step with unit potential, after input checks."""
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    if not is_packing(instance, packing):
+        raise ValueError("packing is not pairwise disjoint")
+    return _t_swap_step(conflict_graph(instance), [1] * instance.n, t, budget)
 
 
 def find_improving_set(
@@ -62,29 +54,26 @@ def find_improving_set(
 ) -> ImprovingSet | None:
     """First improving set with at most t incoming sets, by size then lex
     order, or None (which certifies t-local optimality)."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if not is_packing(instance, packing):
-        raise ValueError("packing is not pairwise disjoint")
-    budget = budget if budget is not None else WorkBudget()
-    graph = conflict_graph(instance)
-    members = set(packing.members)
-    outside = [i for i in range(instance.n) if i not in members]
-    neighbor_sets = [frozenset(graph.neighbors[i]) for i in range(instance.n)]
+    members = frozenset(packing.members)
+    after = _unit_swap_step(instance, packing, t, budget)(members)
+    if after is None:
+        return None
+    return ImprovingSet(
+        incoming=tuple(sorted(after - members)),
+        outgoing=tuple(sorted(members - after)),
+    )
 
-    def adjacent(a: int, b: int) -> bool:
-        return b in neighbor_sets[a]
 
-    for size in range(1, t + 1):
-        for combo in _disjoint_subsets(outside, adjacent, size, budget):
-            outgoing = set()
-            for i in combo:
-                outgoing |= neighbor_sets[i] & members
-            if size > len(outgoing):
-                return ImprovingSet(
-                    incoming=tuple(combo), outgoing=tuple(sorted(outgoing))
-                )
-    return None
+def _outgoing(instance: Instance, members, incoming) -> set[int] | None:
+    """The members that the incoming sets meet, or None when two incoming
+    sets meet each other."""
+    occupied: set[int] = set()
+    for i in incoming:
+        elems = instance.sets[i]
+        if any(e in occupied for e in elems):
+            return None
+        occupied.update(elems)
+    return {m for m in members if any(e in occupied for e in instance.sets[m])}
 
 
 def apply_improving_set(
@@ -98,19 +87,12 @@ def apply_improving_set(
         raise ValueError("improving set has no incoming sets")
     if any(i in members for i in incoming):
         raise ValueError("stale improving set: incoming overlaps the packing")
-    occupied: set[int] = set()
     for i in incoming:
         if not (0 <= i < instance.n):
             raise ValueError(f"incoming index {i} out of range")
-        for e in instance.sets[i]:
-            if e in occupied:
-                raise ValueError("incoming sets are not pairwise disjoint")
-            occupied.add(e)
-    outgoing = {
-        m
-        for m in members
-        if any(e in occupied for e in instance.sets[m])
-    }
+    outgoing = _outgoing(instance, members, incoming)
+    if outgoing is None:
+        raise ValueError("incoming sets are not pairwise disjoint")
     if outgoing != set(imp.outgoing):
         raise ValueError("stale improving set: outgoing does not match packing")
     if len(incoming) <= len(outgoing):
@@ -128,17 +110,14 @@ def t_local_search(
     stats: SearchStats | None = None,
     start: Packing | None = None,
 ) -> Packing:
-    """Run find/apply to a t-locally optimal packing (from empty, or from
-    `start`).  Terminates: cardinality strictly increases each round."""
-    budget = budget if budget is not None else WorkBudget()
+    """Apply first improving sets of at most t sets until none is left,
+    from empty or from `start`: the swap engine with unit potential on a
+    conflict graph built once.  Terminates: cardinality strictly increases
+    with each swap."""
     packing = start if start is not None else Packing(members=())
-    while True:
-        imp = find_improving_set(instance, packing, t, budget)
-        if imp is None:
-            return packing
-        packing = apply_improving_set(instance, packing, imp)
-        if stats is not None:
-            stats.iterations += 1
+    step = _unit_swap_step(instance, packing, t, budget)
+    members = _search(frozenset(packing.members), step, stats)
+    return Packing(members=tuple(sorted(members)))
 
 
 def hs_bound(k: int, t: int) -> Fraction:
@@ -216,20 +195,11 @@ def log_improvement_search(
             i for i, (a, b) in enumerate(aux.edges) if a in x and b in x
         ]
         incoming = sorted(labels[i] for i in eids)
-        occupied: set[int] = set()
-        for f in incoming:
-            elems = instance.sets[f]
-            if any(e in occupied for e in elems):
-                return None  # the dense subgraph lied: sets intersect
-            occupied.update(elems)
-        outgoing = sorted(
-            m
-            for m in packing.members
-            if any(e in occupied for e in instance.sets[m])
-        )
-        if len(incoming) <= len(outgoing):
+        outgoing = _outgoing(instance, packing.members, incoming)
+        # None: the dense subgraph lied, its sets intersect
+        if outgoing is None or len(incoming) <= len(outgoing):
             return None
-        return ImprovingSet(incoming=tuple(incoming), outgoing=tuple(outgoing))
+        return ImprovingSet(incoming=tuple(incoming), outgoing=tuple(sorted(outgoing)))
 
     h = math.ceil(1 / eps)
     if h * len(aux.edges) >= (h + 1) * n_aux:

@@ -121,13 +121,10 @@ class GapReport:
     gap: Fraction
 
 
-def gap_report(
-    instance: Instance,
-    variant: str,
-    oracle_cap: int = ORACLE_CAP,
-    clique_cap: int = CLIQUE_CAP,
-) -> GapReport:
-    """Solve the chosen relaxation and the exact problem; gap = LP / exact."""
+def relaxation_value(
+    instance: Instance, variant: str, clique_cap: int = CLIQUE_CAP
+) -> Fraction:
+    """Optimum of the chosen LP relaxation ('standard' or 'intersecting')."""
     if variant == "standard":
         lp = build_standard_lp(instance)
     elif variant == "intersecting":
@@ -138,24 +135,24 @@ def gap_report(
     if sol.status != "optimal":
         # cannot happen: 0 is feasible and the box bounds the objective
         raise RuntimeError(f"relaxation came back {sol.status}")
-    ilp_value = max_packing_value(instance, cap=oracle_cap)
-    return GapReport(
-        variant=variant,
-        lp_value=sol.objective_value,
-        ilp_value=ilp_value,
-        gap=sol.objective_value / ilp_value,
-    )
+    return sol.objective_value
 
 
-def integrality_gap(
+def gap_report(
     instance: Instance,
     variant: str,
     oracle_cap: int = ORACLE_CAP,
     clique_cap: int = CLIQUE_CAP,
-) -> Fraction:
-    return gap_report(
-        instance, variant, oracle_cap=oracle_cap, clique_cap=clique_cap
-    ).gap
+) -> GapReport:
+    """Solve the chosen relaxation and the exact problem; gap = LP / exact."""
+    lp_value = relaxation_value(instance, variant, clique_cap=clique_cap)
+    ilp_value = max_packing_value(instance, cap=oracle_cap)
+    return GapReport(
+        variant=variant,
+        lp_value=lp_value,
+        ilp_value=ilp_value,
+        gap=lp_value / ilp_value,
+    )
 
 
 def export_theta3_sdp(graph: ConflictGraph) -> str:

@@ -1,7 +1,7 @@
 """Shared plumbing: exact rational text forms, work budgets, error types."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -60,4 +60,3 @@ class SearchStats:
     """Mutable accumulator a caller may pass in to observe a search run."""
 
     iterations: int = 0
-    notes: dict = field(default_factory=dict)

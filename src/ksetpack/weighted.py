@@ -1,10 +1,15 @@
-"""Weighted local search on vertex-weighted claw-free graphs.
+"""Weighted local search on vertex-weighted claw-free graphs, and the one
+swap engine every local search of the package runs on.
 
-Implements Berman's charge/nice-claw machinery (the SquareImp and
-WishfulThinking loops), the greedy baseline, the rescale-and-floor variant,
-and local search under misdirected power weights w^alpha.  All comparisons
-are exact rationals except non-integer alpha, which uses fixed-precision
-decimals with a documented margin.
+The engine keeps an independent set A and applies a first improving swap
+until none is left: add pairwise non-adjacent outside vertices, remove
+their solution neighbours.  Only the potential p whose sum must strictly
+rise differs between the searches: p = 1 for the Hurkens-Schrijver t-swap
+(`local_search.t_local_search`), p = w² for SquareImp, p = w^alpha for the
+misdirected power search, and Berman's charges for the nice-claw loops
+(WishfulThinking and the rescale-and-floor variant).  The greedy baseline
+lives here too.  All comparisons are exact rationals except non-integer
+alpha, which uses fixed-precision decimals with a documented margin.
 
 Solution sets are frozensets of vertex ids.  Functions accept an optional
 weight override so callers can search under modified weights (rescaled,
@@ -17,7 +22,7 @@ import decimal
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .instance import ConflictGraph, max_independent_in_neighborhood, NEIGHBORHOOD_GUARD
 from .util import SearchStats, WorkBudget
@@ -43,6 +48,88 @@ def _check_independent(graph: ConflictGraph, a: frozenset[int]) -> None:
 
 def _solution_neighbors(graph: ConflictGraph, a: frozenset[int], u: int) -> list[int]:
     return [v for v in graph.neighbors[u] if v in a]
+
+
+# The swap engine.  A step maps A to the next solution, or to None at a
+# local optimum.
+_Step = Callable[[frozenset[int]], "frozenset[int] | None"]
+
+
+def _disjoint_subsets(candidates, nbr, size, budget):
+    """Yield all pairwise non-adjacent subsets of `candidates` of exactly
+    `size`, in lexicographic order, pruning conflicts as early as possible.
+    One work unit per probe."""
+
+    chosen: list[int] = []
+
+    def extend(start: int):
+        if len(chosen) == size:
+            yield tuple(chosen)
+            return
+        for idx in range(start, len(candidates)):
+            budget.spend()
+            c = candidates[idx]
+            if any(p in nbr[c] for p in chosen):
+                continue
+            chosen.append(c)
+            yield from extend(idx + 1)
+            chosen.pop()
+
+    yield from extend(0)
+
+
+def _gain(nbr, a, potential, incoming) -> Fraction | Decimal | int:
+    """Rise of the potential's sum over A when `incoming` swaps in and its
+    solution neighbours leave."""
+    removed = {x for u in incoming for x in nbr[u] if x in a}
+    return sum(potential[u] for u in incoming) - sum(potential[x] for x in removed)
+
+
+def _first_improvement(nbr, a, potential, candidates, t, budget, threshold=0):
+    """First subset of at most t candidates, by size then lex order, whose
+    swap raises the potential by more than `threshold`."""
+    for size in range(1, t + 1):
+        for incoming in _disjoint_subsets(candidates, nbr, size, budget):
+            if _gain(nbr, a, potential, incoming) > threshold:
+                return incoming
+    return None
+
+
+def _apply_swap(
+    graph: ConflictGraph, a: frozenset[int], incoming: tuple[int, ...]
+) -> frozenset[int]:
+    removed = {x for u in incoming for x in graph.neighbors[u] if x in a}
+    result = (a - removed) | frozenset(incoming)
+    _check_independent(graph, result)
+    return result
+
+
+def _t_swap_step(graph: ConflictGraph, potential, t: int, budget, margin=None) -> _Step:
+    """Swaps of at most t outside vertices that raise the potential; with a
+    `margin`, the rise must exceed margin * (|p(A)| + 1)."""
+    budget = budget if budget is not None else WorkBudget()
+    nbr = [frozenset(graph.neighbors[u]) for u in range(graph.vertex_count)]
+
+    def step(a: frozenset[int]) -> frozenset[int] | None:
+        threshold = 0
+        if margin is not None:
+            threshold = margin * (abs(sum(potential[x] for x in a)) + 1)
+        outside = [u for u in range(graph.vertex_count) if u not in a]
+        incoming = _first_improvement(nbr, a, potential, outside, t, budget, threshold)
+        return None if incoming is None else _apply_swap(graph, a, incoming)
+
+    return step
+
+
+def _search(a: frozenset[int], step: _Step, stats: SearchStats | None):
+    """Apply `step` until it finds no swap, counting the swaps applied."""
+    while True:
+        after = step(a)
+        if after is None:
+            return a
+        a = after
+        if stats is not None:
+            stats.iterations += 1
 
 
 def heaviest_solution_neighbor(
@@ -75,7 +162,10 @@ def charge(
         raise ValueError(f"u = {u} must lie outside the solution")
     if v not in a:
         raise ValueError(f"v = {v} must lie inside the solution")
-    w = weights if weights is not None else graph.weights
+    return _charge(graph, a, u, v, weights if weights is not None else graph.weights)
+
+
+def _charge(graph: ConflictGraph, a: frozenset[int], u: int, v: int, w) -> Fraction:
     if heaviest_solution_neighbor(graph, a, u, w) != v:
         return Fraction(0)
     total = sum((w[x] for x in _solution_neighbors(graph, a, u)), Fraction(0))
@@ -125,17 +215,9 @@ def find_nice_claw(
 
     for v in sorted(a):
         half = Fraction(1, 2) * w[v]
-        cands: list[tuple[Fraction, int]] = []
-        for u in graph.neighbors[v]:
-            if u in a:
-                continue
-            if heaviest_solution_neighbor(graph, a, u, w) != v:
-                continue
-            c = w[u] - Fraction(1, 2) * sum(
-                (w[x] for x in _solution_neighbors(graph, a, u)), Fraction(0)
-            )
-            if c > 0:
-                cands.append((c, u))
+        outside = [u for u in graph.neighbors[v] if u not in a]
+        charges = [(_charge(graph, a, u, v, w), u) for u in outside]
+        cands = [(c, u) for c, u in charges if c > 0]
         if not cands:
             continue
         if sum((c for c, _ in cands), Fraction(0)) <= half:
@@ -216,21 +298,22 @@ def apply_claw(
     if talon_set & a:
         raise ValueError("talons must lie outside the solution")
     _check_independent(graph, talon_set)
-    removed = {
-        x for t in talons for x in graph.neighbors[t] if x in a
-    }
-    result = (a - removed) | talon_set
-    _check_independent(graph, result)
-    return result
+    return _apply_swap(graph, a, talons)
 
 
 def _assert_claw_free(graph: ConflictGraph, claw_bound: int) -> None:
-    """Error when some checkable neighborhood holds claw_bound independent
-    vertices; neighborhoods above the exhaustive guard are skipped."""
+    """Error when some neighborhood holds claw_bound independent vertices.
+    Neighborhoods up to the guard use the bitmask search; larger ones are
+    searched for claw_bound non-adjacent vertices, without spending work."""
     for v in range(graph.vertex_count):
         if graph.degree(v) > NEIGHBORHOOD_GUARD:
-            continue
-        if max_independent_in_neighborhood(graph, v) >= claw_bound:
+            around = graph.neighbors[v]
+            nbr = {u: frozenset(graph.neighbors[u]) for u in around}
+            claws = _disjoint_subsets(around, nbr, claw_bound, WorkBudget(limit=None))
+            has_claw = next(claws, None) is not None
+        else:
+            has_claw = max_independent_in_neighborhood(graph, v) >= claw_bound
+        if has_claw:
             raise ValueError(
                 f"graph is not {claw_bound}-claw-free (witness center {v})"
             )
@@ -266,15 +349,17 @@ def wishful_thinking(
     the result is within factor claw_bound/2 of the best independent set."""
     if check_claw_free:
         _assert_claw_free(graph, claw_bound)
+    return _search(frozenset(), _nice_claw_step(graph, weights, budget), stats)
+
+
+def _nice_claw_step(graph: ConflictGraph, weights, budget: WorkBudget | None) -> _Step:
     budget = budget if budget is not None else WorkBudget()
-    a: frozenset[int] = frozenset()
-    while True:
+
+    def step(a: frozenset[int]) -> frozenset[int] | None:
         claw = find_nice_claw(graph, a, weights, budget)
-        if claw is None:
-            return a
-        a = apply_claw(graph, a, claw, weights)
-        if stats is not None:
-            stats.iterations += 1
+        return None if claw is None else apply_claw(graph, a, claw, weights)
+
+    return step
 
 
 def square_imp(
@@ -290,56 +375,25 @@ def square_imp(
     accepted swap strictly increases w²(A), so the loop terminates."""
     w = weights if weights is not None else graph.weights
     budget = budget if budget is not None else WorkBudget()
-    a: frozenset[int] = frozenset()
+    squares = [x * x for x in w]
+    nbr = [frozenset(graph.neighbors[u]) for u in range(graph.vertex_count)]
 
-    def swap_gain(talons: tuple[int, ...]) -> Fraction:
-        removed = {x for t in talons for x in graph.neighbors[t] if x in a}
-        return sum((w[t] * w[t] for t in talons), Fraction(0)) - sum(
-            (w[x] * w[x] for x in removed), Fraction(0)
-        )
-
-    def find_swap() -> Claw | None:
+    def step(a: frozenset[int]) -> frozenset[int] | None:
         for u in range(graph.vertex_count):
             budget.spend()
-            if u not in a and swap_gain((u,)) > 0:
-                return Claw(center=None, talons=(u,))
+            if u not in a and _gain(nbr, a, squares, (u,)) > 0:
+                return _apply_swap(graph, a, (u,))
         for v in sorted(a):
             cands = [u for u in graph.neighbors[v] if u not in a]
-            nbr = {u: frozenset(graph.neighbors[u]) for u in cands}
             limit = max_talons if max_talons is not None else len(cands)
-
-            chosen: list[int] = []
-
-            def extend(start: int, size: int):
-                if len(chosen) == size:
-                    yield tuple(chosen)
-                    return
-                for i in range(start, len(cands)):
-                    budget.spend()
-                    u = cands[i]
-                    if any(p in nbr[u] for p in chosen):
-                        continue
-                    chosen.append(u)
-                    yield from extend(i + 1, size)
-                    chosen.pop()
-
-            for size in range(1, min(limit, len(cands)) + 1):
-                for talons in extend(0, size):
-                    if swap_gain(talons) > 0:
-                        return Claw(center=v, talons=talons)
+            talons = _first_improvement(
+                nbr, a, squares, cands, min(limit, len(cands)), budget
+            )
+            if talons is not None:
+                return _apply_swap(graph, a, talons)
         return None
 
-    while True:
-        claw = find_swap()
-        if claw is None:
-            return a
-        removed = {
-            x for t in claw.talons for x in graph.neighbors[t] if x in a
-        }
-        a = (a - removed) | frozenset(claw.talons)
-        _check_independent(graph, a)
-        if stats is not None:
-            stats.iterations += 1
+    return _search(frozenset(), step, stats)
 
 
 def greedy_weighted(
@@ -382,16 +436,9 @@ def rescaled_run(
     run the nice-claw loop under the floored weights."""
     if graph.vertex_count == 0:
         return frozenset()
-    budget = budget if budget is not None else WorkBudget()
     a = greedy_weighted(graph)
     floored, _ = rescale_floor_weights(graph, a, k)
-    while True:
-        claw = find_nice_claw(graph, a, floored, budget)
-        if claw is None:
-            return a
-        a = apply_claw(graph, a, claw, floored)
-        if stats is not None:
-            stats.iterations += 1
+    return _search(a, _nice_claw_step(graph, floored, budget), stats)
 
 
 def power_local_search(
@@ -417,66 +464,21 @@ def power_local_search(
         raise ValueError("alpha must be positive")
     if t < 1:
         raise ValueError("t must be >= 1")
-    budget = budget if budget is not None else WorkBudget()
     if start is not None:
         a = frozenset(start)
         _check_independent(graph, a)
     else:
         a = greedy_weighted(graph)
 
-    ctx = decimal.Context(prec=precision)
-    if alpha.denominator == 1:
-        powers: list = [w ** alpha.numerator for w in graph.weights]
-        margin = None
-    else:
-        with decimal.localcontext(ctx):
+    with decimal.localcontext(decimal.Context(prec=precision)):
+        if alpha.denominator == 1:
+            powers: list = [w ** alpha.numerator for w in graph.weights]
+            margin = None
+        else:
             alpha_d = Decimal(alpha.numerator) / Decimal(alpha.denominator)
             powers = [
                 (Decimal(w.numerator) / Decimal(w.denominator)) ** alpha_d
                 for w in graph.weights
             ]
             margin = Decimal(10) ** (10 - precision)
-
-    def find_swap() -> tuple[int, ...] | None:
-        outside = [u for u in range(graph.vertex_count) if u not in a]
-        nbr = [frozenset(graph.neighbors[u]) for u in range(graph.vertex_count)]
-
-        chosen: list[int] = []
-
-        def extend(start_idx: int, size: int):
-            if len(chosen) == size:
-                yield tuple(chosen)
-                return
-            for i in range(start_idx, len(outside)):
-                budget.spend()
-                u = outside[i]
-                if any(u in nbr[p] for p in chosen):
-                    continue
-                chosen.append(u)
-                yield from extend(i + 1, size)
-                chosen.pop()
-
-        with decimal.localcontext(ctx):
-            base = sum(powers[x] for x in a)
-            threshold = margin * (abs(base) + 1) if margin is not None else 0
-            for size in range(1, t + 1):
-                for incoming in extend(0, size):
-                    removed = {
-                        x for u in incoming for x in nbr[u] if x in a
-                    }
-                    gain = sum(powers[u] for u in incoming) - sum(
-                        powers[x] for x in removed
-                    )
-                    if gain > threshold:
-                        return incoming
-        return None
-
-    while True:
-        incoming = find_swap()
-        if incoming is None:
-            return a
-        removed = {x for u in incoming for x in graph.neighbors[u] if x in a}
-        a = (a - removed) | frozenset(incoming)
-        _check_independent(graph, a)
-        if stats is not None:
-            stats.iterations += 1
+        return _search(a, _t_swap_step(graph, powers, t, budget, margin), stats)

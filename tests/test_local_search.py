@@ -15,6 +15,7 @@ from ksetpack import (
     WorkBudget,
     apply_improving_set,
     build_auxiliary_multigraph,
+    conflict_graph,
     find_improving_set,
     gen_random,
     hs_bound,
@@ -23,6 +24,7 @@ from ksetpack import (
     log_local_search,
     max_packing_value,
     packing_value,
+    power_local_search,
     t_local_search,
 )
 
@@ -151,6 +153,22 @@ class TestTLocalSearch:
                 assert local.members  # nonempty whenever sets exist
                 ratio = Fraction(max_packing_value(got)) / len(local.members)
                 assert ratio <= hs_bound(k, t)
+
+    def test_is_power_search_with_unit_gain(self):
+        # on unit weights, alpha = 1 from an empty start is the same search
+        for trial in range(12):
+            got = gen_random(18, 12, 3, seed=700 + trial)
+            graph = conflict_graph(got)
+            for t in (1, 2, 3):
+                budgets = (WorkBudget(), WorkBudget())
+                stats = (SearchStats(), SearchStats())
+                local = t_local_search(got, t, budgets[0], stats[0])
+                power = power_local_search(
+                    graph, Fraction(1), t, budgets[1], stats[1], start=frozenset()
+                )
+                assert local.members == tuple(sorted(power))
+                assert stats[0].iterations == stats[1].iterations
+                assert budgets[0].spent == budgets[1].spent
 
 
 class TestHsBound:

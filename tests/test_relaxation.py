@@ -19,7 +19,6 @@ from ksetpack import (
     gap_report,
     gen_random,
     instance_from_graph,
-    integrality_gap,
     max_packing_value,
     parse_sdpa,
     solve_lp,
@@ -152,8 +151,8 @@ class TestGapReports:
 
     def test_triangle(self):
         got = triangle_instance()
-        assert integrality_gap(got, "standard") == F(3, 2)
-        assert integrality_gap(got, "intersecting") == 1
+        assert gap_report(got, "standard").gap == F(3, 2)
+        assert gap_report(got, "intersecting").gap == 1
 
     def test_disjoint_sets_have_no_gap(self):
         got = disjoint_instance()

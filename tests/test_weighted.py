@@ -8,6 +8,7 @@ from helpers import random_state
 from ksetpack import (
     CapExceededError,
     Claw,
+    NEIGHBORHOOD_GUARD,
     ConflictGraph,
     SearchStats,
     WorkBudget,
@@ -15,6 +16,7 @@ from ksetpack import (
     charge,
     conflict_graph,
     find_nice_claw,
+    gen_projective_plane,
     gen_random,
     greedy_weighted,
     heaviest_solution_neighbor,
@@ -286,6 +288,22 @@ class TestWishfulThinking:
             wishful_thinking(star, 4)
         assert wishful_thinking(star, 5) == frozenset({1, 2, 3, 4})
         assert wishful_thinking(star, 4, check_claw_free=False) is not None
+
+    @pytest.mark.parametrize("leaves", [10, NEIGHBORHOOD_GUARD + 5])
+    def test_claw_free_check_on_stars_either_side_of_guard(self, leaves):
+        edges = [(0, v) for v in range(1, leaves + 1)]
+        star = ConflictGraph.from_edges(leaves + 1, edges)
+        with pytest.raises(ValueError, match="not 3-claw-free"):
+            wishful_thinking(star, 3)
+
+    def test_claw_free_check_above_guard_accepts_plane(self):
+        plane = gen_projective_plane(5)  # complete conflict graph, degree 30
+        g = conflict_graph(plane)
+        assert min(g.degree(v) for v in range(g.vertex_count)) > NEIGHBORHOOD_GUARD
+        checked, unchecked = WorkBudget(), WorkBudget()
+        assert len(wishful_thinking(g, plane.k + 1, budget=checked)) == 1
+        wishful_thinking(g, plane.k + 1, budget=unchecked, check_claw_free=False)
+        assert checked.spent == unchecked.spent  # the check spends no work
 
     def test_stats_count_applied_claws(self, fig_graph):
         g, _, _ = fig_graph
