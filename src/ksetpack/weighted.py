@@ -36,7 +36,9 @@ class Claw:
     talons: tuple[int, ...]
 
 
-def _check_independent(graph: ConflictGraph, a: frozenset[int]) -> None:
+def _check_independent(graph: ConflictGraph, a) -> frozenset[int]:
+    """A as a frozenset, after checking that it is independent in the graph."""
+    a = frozenset(a)
     for u in a:
         if not (0 <= u < graph.vertex_count):
             raise ValueError(f"vertex {u} out of range")
@@ -44,6 +46,7 @@ def _check_independent(graph: ConflictGraph, a: frozenset[int]) -> None:
         for v in graph.neighbors[u]:
             if v > u and v in a:
                 raise ValueError(f"set is not independent: edge ({u}, {v})")
+    return a
 
 
 def _solution_neighbors(graph: ConflictGraph, a: frozenset[int], u: int) -> list[int]:
@@ -55,10 +58,12 @@ def _solution_neighbors(graph: ConflictGraph, a: frozenset[int], u: int) -> list
 _Step = Callable[[frozenset[int]], "frozenset[int] | None"]
 
 
-def _disjoint_subsets(candidates, nbr, size, budget):
+def _disjoint_subsets(candidates, nbr, size, budget, prune=False):
     """Yield all pairwise non-adjacent subsets of `candidates` of exactly
     `size`, in lexicographic order, pruning conflicts as early as possible.
-    One work unit per probe."""
+    One work unit per probe.  With `prune`, a branch also stops once too few
+    candidates remain to reach `size`; the swap searches leave it off, as
+    their work units count the unpruned probes."""
 
     chosen: list[int] = []
 
@@ -67,6 +72,8 @@ def _disjoint_subsets(candidates, nbr, size, budget):
             yield tuple(chosen)
             return
         for idx in range(start, len(candidates)):
+            if prune and len(candidates) - idx < size - len(chosen):
+                return
             budget.spend()
             c = candidates[idx]
             if any(p in nbr[c] for p in chosen):
@@ -99,9 +106,7 @@ def _apply_swap(
     graph: ConflictGraph, a: frozenset[int], incoming: tuple[int, ...]
 ) -> frozenset[int]:
     removed = {x for u in incoming for x in graph.neighbors[u] if x in a}
-    result = (a - removed) | frozenset(incoming)
-    _check_independent(graph, result)
-    return result
+    return _check_independent(graph, (a - removed) | frozenset(incoming))
 
 
 def _t_swap_step(graph: ConflictGraph, potential, t: int, budget, margin=None) -> _Step:
@@ -156,8 +161,7 @@ def charge(
 ) -> Fraction:
     """w(u) - w(N(u) ∩ A)/2 when v is u's heaviest solution neighbor,
     else 0.  Each outside vertex thus charges at most one member."""
-    a = frozenset(a)
-    _check_independent(graph, a)
+    a = _check_independent(graph, a)
     if u in a:
         raise ValueError(f"u = {u} must lie outside the solution")
     if v not in a:
@@ -203,8 +207,7 @@ def find_nice_claw(
     so an exhaustive pass over independent candidate subsets backs it up --
     None is then a certificate that no good claw exists at all.
     """
-    a = frozenset(a)
-    _check_independent(graph, a)
+    a = _check_independent(graph, a)
     w = weights if weights is not None else graph.weights
     budget = budget if budget is not None else WorkBudget()
 
@@ -282,8 +285,7 @@ def apply_claw(
     weights: Sequence[Fraction] | None = None,
 ) -> frozenset[int]:
     """A ∪ talons minus the talons' solution neighbors; always independent."""
-    a = frozenset(a)
-    _check_independent(graph, a)
+    a = _check_independent(graph, a)
     talons = claw.talons
     if not talons:
         raise ValueError("claw has no talons")
@@ -301,15 +303,16 @@ def apply_claw(
     return _apply_swap(graph, a, talons)
 
 
-def _assert_claw_free(graph: ConflictGraph, claw_bound: int) -> None:
+def _assert_claw_free(graph: ConflictGraph, claw_bound: int, budget) -> None:
     """Error when some neighborhood holds claw_bound independent vertices.
     Neighborhoods up to the guard use the bitmask search; larger ones are
-    searched for claw_bound non-adjacent vertices, without spending work."""
+    searched for claw_bound non-adjacent vertices on `budget`, so a dense
+    input ends in CapExceededError rather than running unbounded."""
     for v in range(graph.vertex_count):
         if graph.degree(v) > NEIGHBORHOOD_GUARD:
             around = graph.neighbors[v]
             nbr = {u: frozenset(graph.neighbors[u]) for u in around}
-            claws = _disjoint_subsets(around, nbr, claw_bound, WorkBudget(limit=None))
+            claws = _disjoint_subsets(around, nbr, claw_bound, budget, prune=True)
             has_claw = next(claws, None) is not None
         else:
             has_claw = max_independent_in_neighborhood(graph, v) >= claw_bound
@@ -347,8 +350,9 @@ def wishful_thinking(
 ) -> frozenset[int]:
     """Apply nice claws until none remains.  On a claw_bound-claw-free graph
     the result is within factor claw_bound/2 of the best independent set."""
+    budget = budget if budget is not None else WorkBudget()
     if check_claw_free:
-        _assert_claw_free(graph, claw_bound)
+        _assert_claw_free(graph, claw_bound, budget)
     return _search(frozenset(), _nice_claw_step(graph, weights, budget), stats)
 
 
@@ -464,11 +468,7 @@ def power_local_search(
         raise ValueError("alpha must be positive")
     if t < 1:
         raise ValueError("t must be >= 1")
-    if start is not None:
-        a = frozenset(start)
-        _check_independent(graph, a)
-    else:
-        a = greedy_weighted(graph)
+    a = greedy_weighted(graph) if start is None else _check_independent(graph, start)
 
     with decimal.localcontext(decimal.Context(prec=precision)):
         if alpha.denominator == 1:

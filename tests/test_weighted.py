@@ -303,7 +303,24 @@ class TestWishfulThinking:
         checked, unchecked = WorkBudget(), WorkBudget()
         assert len(wishful_thinking(g, plane.k + 1, budget=checked)) == 1
         wishful_thinking(g, plane.k + 1, budget=unchecked, check_claw_free=False)
-        assert checked.spent == unchecked.spent  # the check spends no work
+        assert checked.spent > unchecked.spent  # the check spends the caller's budget
+
+    def test_claw_free_check_above_guard_prunes_unreachable_sizes(self):
+        leaves = NEIGHBORHOOD_GUARD + 5
+        edges = [(0, v) for v in range(1, leaves + 1)]
+        star = ConflictGraph.from_edges(leaves + 1, edges)
+        budget = WorkBudget(limit=100_000)  # the unpruned check walks 2^30 subsets
+        got = wishful_thinking(star, leaves + 1, budget=budget)
+        assert got == frozenset(range(1, leaves + 1))
+
+    def test_claw_free_check_above_guard_stops_on_budget(self):
+        # N(0) is 15 disjoint edges: no 16 independent vertices, but the
+        # search for them probes about 3^15 subsets.
+        edges = [(0, v) for v in range(1, 31)] + [(v, v + 1) for v in range(1, 31, 2)]
+        g = ConflictGraph.from_edges(31, edges)
+        wishful_thinking(g, 16, budget=WorkBudget(limit=10_000), check_claw_free=False)
+        with pytest.raises(CapExceededError):
+            wishful_thinking(g, 16, budget=WorkBudget(limit=10_000))
 
     def test_stats_count_applied_claws(self, fig_graph):
         g, _, _ = fig_graph
