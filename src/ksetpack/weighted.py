@@ -58,7 +58,7 @@ def _solution_neighbors(graph: ConflictGraph, a: frozenset[int], u: int) -> list
 _Step = Callable[[frozenset[int]], "frozenset[int] | None"]
 
 
-def _disjoint_subsets(candidates, nbr, size, budget, prune=False):
+def _disjoint_subsets(candidates, nbr, size, budget, prune):
     """Yield all pairwise non-adjacent subsets of `candidates` of exactly
     `size`, in lexicographic order, pruning conflicts as early as possible.
     One work unit per probe.  With `prune`, a branch also stops once too few
@@ -96,7 +96,7 @@ def _first_improvement(nbr, a, potential, candidates, t, budget, threshold=0):
     """First subset of at most t candidates, by size then lex order, whose
     swap raises the potential by more than `threshold`."""
     for size in range(1, t + 1):
-        for incoming in _disjoint_subsets(candidates, nbr, size, budget):
+        for incoming in _disjoint_subsets(candidates, nbr, size, budget, prune=False):
             if _gain(nbr, a, potential, incoming) > threshold:
                 return incoming
     return None
