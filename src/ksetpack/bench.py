@@ -12,8 +12,8 @@ lines ignored)::
 
 Output is CSV with a versioned comment header.  One row per (instance,
 algorithm) in config order; failures are isolated per row via the status
-column (ok | cap_exceeded | error).  Everything is deterministic for a
-fixed config.
+column (ok | cap_exceeded | error; an internal error's note starts with
+'internal:').  Everything is deterministic for a fixed config.
 """
 from __future__ import annotations
 
@@ -301,8 +301,42 @@ def make_instance(spec: FamilySpec, seed: int | None) -> Instance:
     return gen_projective_plane(spec.q)
 
 
+def _internal_note(exc: RuntimeError) -> str:
+    text = str(exc)
+    return text if text.startswith("internal:") else f"internal: {text}"
+
+
+def _error_rows(
+    base: dict[str, str], tokens: tuple[str, ...], note: str
+) -> list[dict[str, str]]:
+    return [{**base, "algorithm": t, "status": "error", "note": note} for t in tokens]
+
+
+def _reference(
+    instance: Instance, config: BenchConfig
+) -> tuple[AlgoRun | None, dict[str, str]]:
+    """One oracle call per instance: it feeds the exact column, the gaps and
+    the `exact` rows.  Without it there are no gaps."""
+    try:
+        optimum = max_packing_exact(instance, cap=config.oracle_cap)
+    except CapExceededError:
+        return None, {}
+    value = packing_value(instance, optimum)
+    columns = {"exact": format_fraction(value)}
+    for variant in config.gaps:
+        try:
+            lp_value = relaxation_value(instance, variant, clique_cap=config.clique_cap)
+            columns[f"gap_{variant}"] = format_fraction(lp_value / value)
+        except CapExceededError:
+            pass
+    return AlgoRun("exact", optimum.members, value, 0, 0), columns
+
+
 def run_bench(config: BenchConfig) -> list[dict[str, str]]:
-    """One CSV row dict per (instance, algorithm), in config order."""
+    """One CSV row dict per (instance, algorithm), in config order.  A failed
+    instance or algorithm becomes a row status, never an exception; an
+    internal error (a failed postcondition) gets a note starting with
+    'internal:'."""
     rows: list[dict[str, str]] = []
     for spec in config.families:
         for seed in spec.seeds:
@@ -314,41 +348,19 @@ def run_bench(config: BenchConfig) -> list[dict[str, str]]:
             try:
                 instance = make_instance(spec, seed)
             except ValueError as exc:
-                for token in config.algorithms:
-                    rows.append(
-                        {
-                            **base,
-                            "algorithm": token,
-                            "status": "error",
-                            "note": f"generation failed: {exc}",
-                        }
-                    )
+                rows += _error_rows(base, config.algorithms, f"generation failed: {exc}")
                 continue
             base.update(
                 universe=str(instance.universe_size),
                 n=str(instance.n),
                 k=str(instance.k),
             )
-
-            # One oracle call per instance: it feeds the exact column, the
-            # gaps and the `exact` rows.  Without it there are no gaps.
-            exact: AlgoRun | None = None
             try:
-                optimum = max_packing_exact(instance, cap=config.oracle_cap)
-            except CapExceededError:
-                pass
-            else:
-                value = packing_value(instance, optimum)
-                exact = AlgoRun("exact", optimum.members, value, 0, 0)
-                base["exact"] = format_fraction(value)
-                for variant in config.gaps:
-                    try:
-                        lp_value = relaxation_value(
-                            instance, variant, clique_cap=config.clique_cap
-                        )
-                        base[f"gap_{variant}"] = format_fraction(lp_value / value)
-                    except CapExceededError:
-                        pass
+                exact, columns = _reference(instance, config)
+            except RuntimeError as exc:
+                rows += _error_rows(base, config.algorithms, _internal_note(exc))
+                continue
+            base.update(columns)
 
             for token in config.algorithms:
                 row = dict(base)
@@ -369,6 +381,9 @@ def run_bench(config: BenchConfig) -> list[dict[str, str]]:
                 except ValueError as exc:
                     row["status"] = "error"
                     row["note"] = str(exc)
+                except RuntimeError as exc:
+                    row["status"] = "error"
+                    row["note"] = _internal_note(exc)
                 else:
                     row["status"] = "ok"
                     row["value"] = format_fraction(run.value)
@@ -378,6 +393,13 @@ def run_bench(config: BenchConfig) -> list[dict[str, str]]:
                         row["ratio"] = format_fraction(exact.value / run.value)
                 rows.append(row)
     return rows
+
+
+def has_internal_error(rows: list[dict[str, str]]) -> bool:
+    return any(
+        row.get("status") == "error" and row.get("note", "").startswith("internal:")
+        for row in rows
+    )
 
 
 def render_csv(rows: list[dict[str, str]]) -> str:

@@ -3,7 +3,8 @@
 Subcommands: generate (random | projective | from-graph), solve, gap,
 bench, export-sdp.  Reports are JSON with rationals as 'p/q' strings (never
 floats); set and vertex ids in files and reports are 1-based.  Exit codes:
-0 success, 2 input error, 3 resource cap exceeded.
+0 success, 2 input error (or, for bench, any row with an internal error),
+3 resource cap exceeded.
 """
 from __future__ import annotations
 
@@ -12,7 +13,14 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import parse_bench_config, render_csv, run_algorithm, run_bench
+from .bench import (
+    has_internal_error,
+    parse_bench_config,
+    render_csv,
+    run_algorithm,
+    run_bench,
+)
+from .exact import ORACLE_CAP
 from .instance import (
     conflict_graph,
     gen_projective_plane,
@@ -22,7 +30,7 @@ from .instance import (
     parse_instance,
     serialize_instance,
 )
-from .relaxation import export_theta3_sdp, gap_report
+from .relaxation import CLIQUE_CAP, export_theta3_sdp, gap_report
 from .util import CapExceededError, DEFAULT_WORK_LIMIT, format_fraction, parse_fraction
 
 
@@ -61,7 +69,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.instance))
-    run = run_algorithm(instance, args.algorithm, work_limit=args.work_limit)
+    run = run_algorithm(
+        instance, args.algorithm, work_limit=args.work_limit, oracle_cap=args.oracle_cap
+    )
     report = {
         "algorithm": run.token,
         "value": format_fraction(run.value),
@@ -75,7 +85,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_gap(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.instance))
-    rep = gap_report(instance, args.variant)
+    rep = gap_report(
+        instance, args.variant, oracle_cap=args.oracle_cap, clique_cap=args.clique_cap
+    )
     report = {
         "variant": rep.variant,
         "lp_value": format_fraction(rep.lp_value),
@@ -90,6 +102,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     config = parse_bench_config(_read(args.config))
     rows = run_bench(config)
     _emit(render_csv(rows), args.out)
+    if has_internal_error(rows):
+        return 2
     if rows and not any(row.get("status") == "ok" for row in rows):
         if any(row.get("status") == "cap_exceeded" for row in rows):
             return 3
@@ -144,6 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
         "squareimp | power:<alpha>:<t>",
     )
     solve.add_argument("--work-limit", type=int, default=DEFAULT_WORK_LIMIT)
+    solve.add_argument("--oracle-cap", type=int, default=ORACLE_CAP)
     solve.add_argument("--out")
     solve.set_defaults(func=_cmd_solve)
 
@@ -152,6 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     gap.add_argument(
         "--variant", choices=["standard", "intersecting"], default="standard"
     )
+    gap.add_argument("--oracle-cap", type=int, default=ORACLE_CAP)
+    gap.add_argument("--clique-cap", type=int, default=CLIQUE_CAP)
     gap.add_argument("--out")
     gap.set_defaults(func=_cmd_gap)
 

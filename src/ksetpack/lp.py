@@ -71,20 +71,26 @@ def check_lp(lp: LinearProgram) -> None:
 
 
 def _pivot(rows, rhs, obj, obj_rhs, basis, r, e):
-    piv = rows[r][e]
-    inv = Fraction(1) / piv
-    rows[r] = [x * inv for x in rows[r]]
+    """Pivot on (r, e) in place.  Only the nonzero columns of the pivot row
+    are touched: every other entry would change by f * 0."""
+    prow = rows[r]
+    inv = Fraction(1) / prow[e]
+    nz = [j for j, x in enumerate(prow) if x]
+    for j in nz:
+        prow[j] *= inv
     rhs[r] *= inv
-    for i in range(len(rows)):
-        if i != r and rows[i][e] != 0:
-            f = rows[i][e]
-            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            rhs[i] -= f * rhs[r]
+    b = rhs[r]
+    for i, row in enumerate(rows):
+        f = row[e]
+        if f and i != r:
+            for j in nz:
+                row[j] -= f * prow[j]
+            rhs[i] -= f * b
     f = obj[e]
-    if f != 0:
-        for j in range(len(obj)):
-            obj[j] -= f * rows[r][j]
-        obj_rhs -= f * rhs[r]
+    if f:
+        for j in nz:
+            obj[j] -= f * prow[j]
+        obj_rhs -= f * b
     basis[r] = e
     return obj_rhs
 
@@ -103,9 +109,10 @@ def _run_simplex(rows, rhs, obj, obj_rhs, basis, allowed):
             return "optimal", obj_rhs
         leave = None
         best = None
-        for i in range(len(rows)):
-            if rows[i][enter] > 0:
-                ratio = rhs[i] / rows[i][enter]
+        for i, row in enumerate(rows):
+            a = row[enter]
+            if a > 0:
+                ratio = rhs[i] / a
                 if best is None or ratio < best or (
                     ratio == best and basis[i] < basis[leave]
                 ):
@@ -194,12 +201,13 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     def build_obj(costs: list[Fraction]) -> tuple[list[Fraction], Fraction]:
         obj = [-c for c in costs]
         obj_rhs = Fraction(0)
-        for i in range(len(rows)):
-            cb = costs[basis[i]]
-            if cb != 0:
-                for j in range(ncols):
-                    obj[j] += cb * rows[i][j]
-                obj_rhs += cb * rhs[i]
+        for row, b, col in zip(rows, rhs, basis):
+            cb = costs[col]
+            if cb:
+                for j, x in enumerate(row):
+                    if x:
+                        obj[j] += cb * x
+                obj_rhs += cb * b
         return obj, obj_rhs
 
     if n_art:
@@ -277,6 +285,10 @@ def certify_optimal(lp: LinearProgram, sol: LpSolution) -> str | None:
         return f"status is {sol.status}"
     x = sol.values
     n = lp.num_vars
+    if x is None:
+        return "solution carries no values"
+    if len(x) != n:
+        return f"{len(x)} values for {n} variables"
     for j in range(n):
         if x[j] < lp.lower[j] or (lp.upper[j] is not None and x[j] > lp.upper[j]):
             return f"variable {j} breaks its bounds"
@@ -294,6 +306,10 @@ def certify_optimal(lp: LinearProgram, sol: LpSolution) -> str | None:
     ub = sol.bound_duals
     if y is None or ub is None:
         return "solution carries no duals"
+    if len(y) != len(lp.constraints):
+        return f"{len(y)} duals for {len(lp.constraints)} constraints"
+    if len(ub) != n:
+        return f"{len(ub)} bound duals for {n} variables"
     for c, yi in zip(lp.constraints, y):
         if c.relation == LEQ and yi < 0:
             return f"dual of {c.label} negative"
@@ -305,6 +321,8 @@ def certify_optimal(lp: LinearProgram, sol: LpSolution) -> str | None:
     for j in range(n):
         if ub[j] < 0:
             return f"bound dual of variable {j} negative"
+        if ub[j] != 0 and lp.upper[j] is None:
+            return f"bound dual of variable {j} has no upper bound"
         s = col[j] + ub[j] - lp.objective[j]
         if s < 0:
             return f"dual constraint for variable {j} violated"

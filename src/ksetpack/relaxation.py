@@ -134,7 +134,7 @@ def relaxation_value(
     sol = solve_lp(lp)
     if sol.status != "optimal":
         # cannot happen: 0 is feasible and the box bounds the objective
-        raise RuntimeError(f"relaxation came back {sol.status}")
+        raise RuntimeError(f"internal: relaxation came back {sol.status}")
     return sol.objective_value
 
 

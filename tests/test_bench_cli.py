@@ -219,6 +219,50 @@ class TestRunBench:
         config = parse_bench_config("family fano projective q=2\n")
         assert run_bench(config) == []
 
+    def test_internal_error_isolated_per_instance(self, monkeypatch):
+        import ksetpack.relaxation
+
+        real = ksetpack.relaxation.solve_lp
+        calls = []
+
+        def fail_first(lp):
+            calls.append(lp)
+            if len(calls) == 1:
+                raise RuntimeError("internal: optimum failed certification: test")
+            return real(lp)
+
+        monkeypatch.setattr(ksetpack.relaxation, "solve_lp", fail_first)
+        config = parse_bench_config(
+            "family fano projective q=2\nfamily b random universe=8 n=5 k=2 seeds=1\n"
+            "algorithms greedy exact\ngaps standard\n"
+        )
+        rows = run_bench(config)
+        assert [(r["family"], r["status"]) for r in rows] == [
+            ("fano", "error"),
+            ("fano", "error"),
+            ("b", "ok"),
+            ("b", "ok"),
+        ]
+        assert all(
+            r["note"] == "internal: optimum failed certification: test" for r in rows[:2]
+        )
+        assert "exact" not in rows[0] and rows[0]["n"] == "7"
+        assert rows[2]["gap_standard"]
+
+    def test_internal_error_isolated_per_row(self, monkeypatch):
+        import ksetpack.bench
+
+        def broken(*args):
+            raise RuntimeError("applied swap broke disjointness")
+
+        monkeypatch.setattr(ksetpack.bench, "t_local_search", broken)
+        config = parse_bench_config(
+            "family fano projective q=2\nalgorithms local:2 greedy\n"
+        )
+        rows = run_bench(config)
+        assert [r["status"] for r in rows] == ["error", "ok"]
+        assert rows[0]["note"] == "internal: applied swap broke disjointness"
+
     def test_weighted_family_runs(self):
         config = parse_bench_config(
             "family w random universe=9 n=7 k=3 seeds=1 weights=1:5\n"
@@ -335,6 +379,11 @@ class TestCli:
         assert report["value"] == "1"
         assert len(report["members"]) == 1
 
+    def test_solve_oracle_cap(self, fano_file, capsys):
+        assert main(["solve", fano_file, "--algorithm", "exact", "--oracle-cap", "7"]) == 0
+        assert main(["solve", fano_file, "--algorithm", "exact", "--oracle-cap", "6"]) == 3
+        assert "oracle cap" in capsys.readouterr().err
+
     def test_solve_unknown_algorithm(self, fano_file, capsys):
         assert main(["solve", fano_file, "--algorithm", "warp"]) == 2
         assert "error" in capsys.readouterr().err
@@ -363,6 +412,18 @@ class TestCli:
             "ilp_value": "1",
             "gap": "7/3",
         }
+
+    def test_gap_oracle_cap(self, fano_file, capsys):
+        assert main(["gap", fano_file, "--oracle-cap", "7"]) == 0
+        assert main(["gap", fano_file, "--oracle-cap", "6"]) == 3
+        assert "oracle cap" in capsys.readouterr().err
+
+    def test_gap_clique_cap(self, fano_file, capsys):
+        # the Fano plane's conflict graph is K7: exactly one maximal clique
+        args = ["gap", fano_file, "--variant", "intersecting", "--clique-cap"]
+        assert main(args + ["1"]) == 0
+        assert main(args + ["0"]) == 3
+        assert "maximal cliques" in capsys.readouterr().err
 
     def test_gap_intersecting(self, fano_file, capsys):
         assert main(["gap", fano_file, "--variant", "intersecting"]) == 0
@@ -408,3 +469,23 @@ class TestCli:
         config = tmp_path / "bench.cfg"
         config.write_text("algorithms greedy\n")
         assert main(["bench", str(config)]) == 2
+
+    def test_bench_internal_error_exits_2(self, tmp_path, monkeypatch):
+        import ksetpack.relaxation
+
+        def broken(lp):
+            raise RuntimeError("internal: optimum failed certification: test")
+
+        monkeypatch.setattr(ksetpack.relaxation, "solve_lp", broken)
+        config = tmp_path / "bench.cfg"
+        # the oracle cap skips the Fano plane's gap, so its row stays ok
+        config.write_text(
+            "family fano projective q=2\nfamily b random universe=8 n=5 k=2 seeds=1\n"
+            "algorithms greedy\ngaps standard\noracle_cap 6\n"
+        )
+        out = tmp_path / "rows.csv"
+        assert main(["bench", str(config), "--out", str(out)]) == 2
+        rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+        assert [r["status"] for r in rows] == ["ok", "error"]
+        config.write_text("family fano projective q=2\nalgorithms greedy\n")
+        assert main(["bench", str(config), "--out", str(out)]) == 0

@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 from helpers import brute_lp_optimum
 
-from ksetpack import Constraint, LinearProgram, certify_optimal, serialize_lp, solve_lp
+from ksetpack import (
+    Constraint,
+    LinearProgram,
+    LpSolution,
+    certify_optimal,
+    serialize_lp,
+    solve_lp,
+)
 from ksetpack.lp import EQ, LEQ, check_lp
 
 F = Fraction
@@ -214,6 +221,33 @@ class TestCertify:
         lp, sol = self.lp_and_solution()
         bad = dataclasses.replace(sol, duals=None)
         assert "duals" in certify_optimal(lp, bad)
+
+    def test_rejects_bound_dual_without_upper_bound(self):
+        # max x0 s.t. x0 <= 5 has optimum 5; a bound dual on the free upper
+        # side would otherwise "prove" the value 0
+        lp = lp_of(1, [1], [([1], LEQ, 5)])
+        fake = LpSolution("optimal", (F(0),), F(0), (F(0),), (F(1),))
+        assert "no upper bound" in certify_optimal(lp, fake)
+        assert solve_lp(lp).objective_value == 5
+
+    def test_rejects_wrong_number_of_values(self):
+        lp, sol = self.lp_and_solution()
+        assert "values" in certify_optimal(lp, dataclasses.replace(sol, values=sol.values[:1]))
+        longer = dataclasses.replace(sol, values=sol.values + (F(0),))
+        assert "values" in certify_optimal(lp, longer)
+
+    def test_rejects_wrong_number_of_duals(self):
+        lp, sol = self.lp_and_solution()
+        assert "duals" in certify_optimal(lp, dataclasses.replace(sol, duals=sol.duals[:1]))
+        longer = dataclasses.replace(sol, duals=sol.duals + (F(0),))
+        assert "duals" in certify_optimal(lp, longer)
+
+    def test_rejects_wrong_number_of_bound_duals(self):
+        lp, sol = self.lp_and_solution()
+        shorter = dataclasses.replace(sol, bound_duals=sol.bound_duals[:1])
+        assert "bound duals" in certify_optimal(lp, shorter)
+        longer = dataclasses.replace(sol, bound_duals=sol.bound_duals + (F(0),))
+        assert "bound duals" in certify_optimal(lp, longer)
 
 
 class TestSerialize:
