@@ -4,7 +4,11 @@ Maximization LPs with sparse <=/= rows and per-variable bounds, solved in
 Fraction arithmetic with Bland's anti-cycling rule, so optima are exact and
 ties deterministic.  Solutions carry dual values, and certify_optimal checks
 feasibility plus strong duality, which proves optimality independently of
-how the solver got there.  Desk scale: dense tableau, no factorization.
+how the solver got there.  Desk scale: one list per tableau row, no
+factorization.  Pivots are sparse: a pivot touches only the nonzero columns
+of the pivot row, in the rows with a nonzero in the entering column.  The
+skipped entries would change by zero, so the pivot path and every result
+are those of the dense method.
 """
 from __future__ import annotations
 
@@ -71,8 +75,7 @@ def check_lp(lp: LinearProgram) -> None:
 
 
 def _pivot(rows, rhs, obj, obj_rhs, basis, r, e):
-    """Pivot on (r, e) in place.  Only the nonzero columns of the pivot row
-    are touched: every other entry would change by f * 0."""
+    """Pivot on (r, e) in place, over the pivot row's nonzero columns only."""
     prow = rows[r]
     inv = Fraction(1) / prow[e]
     nz = [j for j, x in enumerate(prow) if x]
