@@ -136,7 +136,16 @@ def run_algorithm(
         if name == "greedy":
             chosen = greedy_weighted(graph)
         elif name == "wishful":
-            chosen = wishful_thinking(graph, instance.k + 1, budget=budget, stats=stats)
+            # independent neighbours of a set meet distinct elements of it, so
+            # with every set of at most k elements the graph is (k+1)-claw-free
+            # and only over-long sets leave the exhaustive check to run
+            chosen = wishful_thinking(
+                graph,
+                instance.k + 1,
+                budget=budget,
+                stats=stats,
+                check_claw_free=any(len(s) > instance.k for s in instance.sets),
+            )
         elif name == "squareimp":
             chosen = square_imp(
                 graph, max_talons=instance.k, budget=budget, stats=stats
@@ -301,7 +310,8 @@ def make_instance(spec: FamilySpec, seed: int | None) -> Instance:
     return gen_projective_plane(spec.q)
 
 
-def _internal_note(exc: RuntimeError) -> str:
+def internal_note(exc: RuntimeError) -> str:
+    """The message of a failed postcondition check, starting 'internal:'."""
     text = str(exc)
     return text if text.startswith("internal:") else f"internal: {text}"
 
@@ -358,7 +368,7 @@ def run_bench(config: BenchConfig) -> list[dict[str, str]]:
             try:
                 exact, columns = _reference(instance, config)
             except RuntimeError as exc:
-                rows += _error_rows(base, config.algorithms, _internal_note(exc))
+                rows += _error_rows(base, config.algorithms, internal_note(exc))
                 continue
             base.update(columns)
 
@@ -383,7 +393,7 @@ def run_bench(config: BenchConfig) -> list[dict[str, str]]:
                     row["note"] = str(exc)
                 except RuntimeError as exc:
                     row["status"] = "error"
-                    row["note"] = _internal_note(exc)
+                    row["note"] = internal_note(exc)
                 else:
                     row["status"] = "ok"
                     row["value"] = format_fraction(run.value)

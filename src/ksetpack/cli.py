@@ -3,8 +3,8 @@
 Subcommands: generate (random | projective | from-graph), solve, gap,
 bench, export-sdp.  Reports are JSON with rationals as 'p/q' strings (never
 floats); set and vertex ids in files and reports are 1-based.  Exit codes:
-0 success, 2 input error (or, for bench, any row with an internal error),
-3 resource cap exceeded.
+0 success, 2 input error or internal error (for bench, any row with an
+internal error), 3 resource cap exceeded.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .bench import (
     has_internal_error,
+    internal_note,
     parse_bench_config,
     render_csv,
     run_algorithm,
@@ -193,6 +194,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RuntimeError as exc:  # a failed postcondition check
+        print(f"error: {internal_note(exc)}", file=sys.stderr)
         return 2
 
 

@@ -187,8 +187,6 @@ def log_improvement_search(
     if n_aux < 2:
         return None
     size_cap = min(n_aux, math.floor(4 * (1 + 1 / eps) * math.log2(n_aux) + 1e-9))
-    if size_cap < 1:
-        return None
 
     def candidate_from(x: frozenset[int] | set[int]) -> ImprovingSet | None:
         eids = [

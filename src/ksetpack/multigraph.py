@@ -4,8 +4,11 @@ A subgraph is "dense" here when it has strictly more edges than vertices.
 Two constructive procedures find such subgraphs of logarithmic size: one for
 multigraphs of minimum degree 3 (BFS lollipops, one contraction step), one
 for multigraphs satisfying the density bound h·|E| >= (h+1)·|V| (reduce,
-contract degree-2 chains, then reuse the first procedure).  An exhaustive
-checker serves as the reference implementation for both.
+contract degree-2 chains, then reuse the first procedure).  The reduction
+keeps one map from each surviving vertex to its live edges and updates it in
+place, so each round costs one pass over the survivors plus the incidence
+lists it edits.  An exhaustive checker serves as the reference
+implementation for both.
 """
 from __future__ import annotations
 
@@ -200,86 +203,46 @@ def find_dense_subgraph(g: Multigraph, h: int) -> frozenset[int]:
             f"density precondition fails: {h}*{len(g.edges)} < {h + 1}*{n}"
         )
 
-    active = set(range(n))
-    alive = set(range(len(g.edges)))
+    # surviving vertex -> its live edge ids, ascending, a loop listed once;
+    # "degree <= 1, or degree 2 with a loop" is then "at most one edge"
+    inc: dict[int, list[int]] = {v: [] for v in range(n)}
+    for eid, (a, b) in enumerate(g.edges):
+        inc[a].append(eid)
+        if a != b:
+            inc[b].append(eid)
 
-    def degree_of(v: int) -> int:
-        d = 0
-        for eid in alive:
-            a, b = g.edges[eid]
-            d += 2 if a == b == v else (a == v) + (b == v)
-        return d
-
-    def incident(v: int) -> list[int]:
-        return [eid for eid in alive if v in g.edges[eid]]
-
-    def loops_at(v: int) -> list[int]:
-        return [eid for eid in alive if g.edges[eid] == (v, v)]
-
-    def is_chain_vertex(v: int) -> bool:
-        return degree_of(v) == 2 and not loops_at(v)
-
-    def delete_vertices(vs: set[int]) -> None:
-        for v in vs:
-            active.discard(v)
-        for eid in list(alive):
-            a, b = g.edges[eid]
-            if a in vs or b in vs:
-                alive.discard(eid)
-
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(active):
-            if degree_of(v) <= 1:
-                delete_vertices({v})
-                changed = True
+    while True:
+        low = [v for v, eids in inc.items() if len(eids) <= 1]
+        if low:
+            doomed = [min(low)]
+        else:
+            chains = _chains(g, inc)
+            doomed = next(
+                (comp for comp, ends in chains if ends is None or len(comp) >= h), None
+            )
+            if doomed is None:
                 break
-            if degree_of(v) == 2 and loops_at(v):
-                delete_vertices({v})
-                changed = True
-                break
-        if changed:
-            continue
-        # all degrees >= 2 now; hunt long chains and pure-cycle components
-        chain_verts = {v for v in active if is_chain_vertex(v)}
-        seen: set[int] = set()
-        for v in sorted(chain_verts):
-            if v in seen:
-                continue
-            comp, ends = _trace_chain(g, alive, chain_verts, v)
-            seen |= set(comp)
-            if ends is None or len(comp) >= h:
-                delete_vertices(set(comp))
-                changed = True
-                break
+        for v in doomed:
+            for eid in inc.pop(v):
+                a, b = g.edges[eid]
+                other = b if a == v else a
+                if other in inc:
+                    inc[other].remove(eid)
 
-    if not active:
+    if not inc:
         raise RuntimeError("internal: reduction emptied the graph")
 
-    # contract surviving chains (each < h interior vertices) to single edges
-    chain_verts = {v for v in active if is_chain_vertex(v)}
-    core = sorted(active - chain_verts)
+    # contract surviving chains (each < h vertices, none a cycle) to single edges
+    chained = {v for comp, _ in chains for v in comp}
+    core = sorted(set(inc) - chained)
     idmap = {v: i for i, v in enumerate(core)}
-    edges2: list[tuple[int, int]] = []
-    interiors: list[list[int]] = []
-    consumed: set[int] = set()
-    seen = set()
-    for v in sorted(chain_verts):
-        if v in seen:
-            continue
-        comp, ends = _trace_chain(g, alive, chain_verts, v)
-        assert ends is not None
-        seen |= set(comp)
-        (x, eids) = ends
-        consumed |= set(eids)
-        edges2.append((idmap[x[0]], idmap[x[1]]))
-        interiors.append(comp)
-    for eid in sorted(alive - consumed):
+    edges2 = [(idmap[a], idmap[b]) for _, (a, b) in chains]
+    interiors = [comp for comp, _ in chains]
+    chain_eids = {eid for v in chained for eid in inc[v]}
+    for eid in sorted({eid for v in core for eid in inc[v]} - chain_eids):
         a, b = g.edges[eid]
-        if a in idmap and b in idmap:
-            edges2.append((idmap[a], idmap[b]))
-            interiors.append([])
+        edges2.append((idmap[a], idmap[b]))
+        interiors.append([])
 
     core_graph = Multigraph(vertex_count=len(core), edges=tuple(edges2))
     x_core = find_dense_subgraph_min_deg3(core_graph, 0)
@@ -303,37 +266,42 @@ def find_dense_subgraph(g: Multigraph, h: int) -> frozenset[int]:
     return frozenset(x)
 
 
+def _chains(g: Multigraph, inc: dict[int, list[int]]):
+    """Every maximal chain of the graph `inc` describes, ordered by lowest
+    vertex, as `_trace_chain` returns it.  A chain vertex has exactly two
+    incident edges, and neither is a loop."""
+    chain_verts = {
+        v
+        for v, eids in inc.items()
+        if len(eids) == 2 and all(g.edges[e][0] != g.edges[e][1] for e in eids)
+    }
+    chains = []
+    seen: set[int] = set()
+    for v in sorted(chain_verts):
+        if v not in seen:
+            comp, ends = _trace_chain(g, inc, chain_verts, v)
+            seen.update(comp)
+            chains.append((comp, ends))
+    return chains
+
+
 def _trace_chain(
     g: Multigraph,
-    alive: set[int],
+    inc: dict[int, list[int]],
     chain_verts: set[int],
     start: int,
 ):
-    """Walk the maximal degree-2 chain through `start`.
+    """Walk the maximal chain through `start`, first along its lower edge.
 
     Returns (component, ends) where component is the list of chain vertices
-    and ends is ((x, y), edge_ids) for the two attachment endpoints and every
-    edge on the chain, or None when the walk closes a pure cycle.
+    and ends is the sorted pair of attachment endpoints, or None when the
+    walk closes a pure cycle.
     """
-    incidence: dict[int, list[int]] = {}
-    for eid in alive:
-        a, b = g.edges[eid]
-        for v in (a, b):
-            if v in chain_verts:
-                incidence.setdefault(v, []).append(eid)
-
     comp = [start]
     ends: list[int] = []
-    eids: set[int] = set()
-    for direction in (0, 1):
+    for eid in inc[start]:  # one walk out along each of its two edges
         cur = start
-        prev_eid = None
         while True:
-            nxt = [e for e in incidence[cur] if e != prev_eid]
-            if prev_eid is None:
-                nxt = [incidence[cur][direction]]
-            eid = nxt[0]
-            eids.add(eid)
             a, b = g.edges[eid]
             other = b if a == cur else a
             if other not in chain_verts:
@@ -342,9 +310,9 @@ def _trace_chain(
             if other == start:
                 return comp, None  # closed a cycle of chain vertices
             comp.append(other)
-            cur = other
-            prev_eid = eid
-    return comp, ((ends[0], ends[1]) if ends[0] <= ends[1] else (ends[1], ends[0]), eids)
+            e0, e1 = inc[other]
+            cur, eid = other, (e1 if e0 == eid else e0)
+    return comp, (min(ends), max(ends))
 
 
 def has_small_dense_subgraph(g: Multigraph, size_bound: int) -> bool:

@@ -27,6 +27,9 @@ from typing import Callable, Sequence
 from .instance import ConflictGraph, max_independent_in_neighborhood, NEIGHBORHOOD_GUARD
 from .util import SearchStats, WorkBudget
 
+# decimal digits for the weight powers of fractional alpha in the power search
+DECIMAL_PRECISION = 60
+
 
 @dataclass(frozen=True)
 class Claw:
@@ -176,22 +179,6 @@ def _charge(graph: ConflictGraph, a: frozenset[int], u: int, v: int, w) -> Fract
     return w[u] - Fraction(1, 2) * total
 
 
-def _minimize_talons(
-    picked: list[tuple[Fraction, int]], half: Fraction
-) -> list[int]:
-    """Drop talons, lightest charge first, while the rest still exceeds
-    half; the survivors form a minimal set with that property."""
-    total = sum((c for c, _ in picked), Fraction(0))
-    kept = sorted(picked)  # ascending charge, then id
-    out = []
-    for c, u in kept:
-        if total - c > half:
-            total -= c
-        else:
-            out.append(u)
-    return sorted(out)
-
-
 def find_nice_claw(
     graph: ConflictGraph,
     a: frozenset[int],
@@ -240,9 +227,10 @@ def find_nice_claw(
                 break
         if total <= half:
             picked = _exhaustive_talons(cands, nbr, half, budget)
-        if picked is not None and sum((c for c, _ in picked), Fraction(0)) > half:
-            talons = _minimize_talons(picked, half)
-            return Claw(center=v, talons=tuple(talons))
+        # picked in non-increasing charge order up to the first sum past
+        # half, so dropping any talon brings the sum back to <= half
+        if picked is not None:
+            return Claw(center=v, talons=tuple(sorted(u for _, u in picked)))
     return None
 
 
@@ -282,7 +270,6 @@ def apply_claw(
     graph: ConflictGraph,
     a: frozenset[int],
     claw: Claw,
-    weights: Sequence[Fraction] | None = None,
 ) -> frozenset[int]:
     """A ∪ talons minus the talons' solution neighbors; always independent."""
     a = _check_independent(graph, a)
@@ -361,7 +348,7 @@ def _nice_claw_step(graph: ConflictGraph, weights, budget: WorkBudget | None) ->
 
     def step(a: frozenset[int]) -> frozenset[int] | None:
         claw = find_nice_claw(graph, a, weights, budget)
-        return None if claw is None else apply_claw(graph, a, claw, weights)
+        return None if claw is None else apply_claw(graph, a, claw)
 
     return step
 
@@ -452,16 +439,15 @@ def power_local_search(
     budget: WorkBudget | None = None,
     stats: SearchStats | None = None,
     start: frozenset[int] | None = None,
-    precision: int = 60,
 ) -> frozenset[int]:
     """Local search guided by the misdirected objective sum of w(v)^alpha.
 
     From the greedy solution (or `start`), accept any swap of at most t
     incoming vertices that strictly increases the power objective, removing
     the incoming vertices' solution neighbors.  Integer alpha compares
-    exactly; fractional alpha is evaluated with `precision` decimal digits
-    and a swap must clear a relative margin of 10**(10 - precision) to
-    count as an increase.
+    exactly; fractional alpha is evaluated with `DECIMAL_PRECISION` decimal
+    digits and a swap must clear a relative margin of
+    10**(10 - DECIMAL_PRECISION) to count as an increase.
     """
     alpha = Fraction(alpha)
     if alpha <= 0:
@@ -470,7 +456,7 @@ def power_local_search(
         raise ValueError("t must be >= 1")
     a = greedy_weighted(graph) if start is None else _check_independent(graph, start)
 
-    with decimal.localcontext(decimal.Context(prec=precision)):
+    with decimal.localcontext(decimal.Context(prec=DECIMAL_PRECISION)):
         if alpha.denominator == 1:
             powers: list = [w ** alpha.numerator for w in graph.weights]
             margin = None
@@ -480,5 +466,5 @@ def power_local_search(
                 (Decimal(w.numerator) / Decimal(w.denominator)) ** alpha_d
                 for w in graph.weights
             ]
-            margin = Decimal(10) ** (10 - precision)
+            margin = Decimal(10) ** (10 - DECIMAL_PRECISION)
         return _search(a, _t_swap_step(graph, powers, t, budget, margin), stats)

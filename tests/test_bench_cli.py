@@ -98,6 +98,21 @@ class TestRunAlgorithm:
         with pytest.raises(CapExceededError):
             run_algorithm(fano, "exact", oracle_cap=3)
 
+    def test_wishful_on_dense_instance_skips_the_claw_search(self):
+        from ksetpack import gen_random, is_packing, Packing
+
+        # degrees far above the guard; the exhaustive claw-free check alone
+        # spends more than this budget
+        instance = gen_random(20, 200, 3, 1)
+        run = run_algorithm(instance, "wishful", work_limit=100_000)
+        assert run.members and is_packing(instance, Packing(run.members))
+
+    def test_wishful_checks_sets_longer_than_k(self):
+        from ksetpack import Instance
+
+        with pytest.raises(ValueError, match="not 2-claw-free"):
+            run_algorithm(Instance(2, ((0, 1), (0,), (1,)), 1), "wishful")
+
 
 CONFIG_TEXT = """\
 c families first
@@ -412,6 +427,20 @@ class TestCli:
             "ilp_value": "1",
             "gap": "7/3",
         }
+
+    def test_internal_error_exits_2(self, fano_file, capsys, monkeypatch):
+        import ksetpack.bench
+        import ksetpack.relaxation
+
+        def broken(*args):
+            raise RuntimeError("applied swap broke disjointness")
+
+        monkeypatch.setattr(ksetpack.relaxation, "solve_lp", broken)
+        monkeypatch.setattr(ksetpack.bench, "t_local_search", broken)
+        assert main(["gap", fano_file]) == 2
+        assert main(["solve", fano_file, "--algorithm", "local:2"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: internal: applied swap broke disjointness"] * 2
 
     def test_gap_oracle_cap(self, fano_file, capsys):
         assert main(["gap", fano_file, "--oracle-cap", "7"]) == 0
