@@ -89,13 +89,13 @@ class ConflictGraph:
             adj[u].add(v)
             adj[v].add(u)
         if weights is None:
-            w = tuple(Fraction(1) for _ in range(vertex_count))
+            w = (Fraction(1),) * vertex_count
         else:
             w = tuple(Fraction(x) for x in weights)
             if len(w) != vertex_count:
                 raise ValueError("weight count does not match vertex count")
-        if any(x <= 0 for x in w):
-            raise ValueError("vertex weights must be strictly positive")
+            if any(x <= 0 for x in w):
+                raise ValueError("vertex weights must be strictly positive")
         return cls(tuple(tuple(sorted(s)) for s in adj), w)
 
 
@@ -136,18 +136,17 @@ def validate(instance: Instance) -> Violation | None:
 
 
 def conflict_graph(instance: Instance) -> ConflictGraph:
-    """Build the intersection graph: sets are adjacent iff they overlap."""
-    sets = [frozenset(s) for s in instance.sets]
-    edges = [
-        (i, j)
-        for i in range(len(sets))
-        for j in range(i + 1, len(sets))
-        if sets[i] & sets[j]
-    ]
-    weights = instance.weights
-    if weights is None:
-        weights = tuple(Fraction(1) for _ in range(instance.n))
-    return ConflictGraph.from_edges(instance.n, edges, weights)
+    """Build the intersection graph: sets are adjacent iff they overlap.
+    Pairs are read off an element -> sets index, so the cost follows the
+    overlaps, not the n² pairs."""
+    holders: dict[int, list[int]] = {}
+    for i, s in enumerate(instance.sets):
+        for e in s:
+            holders.setdefault(e, []).append(i)
+    edges = {
+        (i, j) for group in holders.values() for i in group for j in group if i < j
+    }
+    return ConflictGraph.from_edges(instance.n, edges, instance.weights)
 
 
 def is_packing(instance: Instance, packing: Packing) -> bool:

@@ -9,13 +9,17 @@ The auxiliary-multigraph route comes with a caveat: a dense subgraph of the
 auxiliary graph does NOT necessarily yield a usable improvement, because the
 outside sets behind its edges may intersect each other.  Every candidate is
 therefore validated before being returned, and callers must expect none.
+Its search beyond the constructive route probes connected vertex sets only,
+with the swap engine's enumerator, and grows only sets whose edges carry
+pairwise disjoint sets.  A disconnected validated set has a validated
+component of smaller size, so it returns the same set as probing every
+subset by size, then lex order.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .instance import (
     Instance,
@@ -23,9 +27,9 @@ from .instance import (
     conflict_graph,
     is_packing,
 )
-from .multigraph import Multigraph, induced_edge_count, find_dense_subgraph
+from .multigraph import Multigraph, find_dense_subgraph
 from .util import SearchStats, WorkBudget
-from .weighted import _search, _t_swap_step
+from .weighted import _connected_layers, _search, _t_swap_step
 
 
 @dataclass(frozen=True)
@@ -173,7 +177,8 @@ def log_improvement_search(
     multigraph, within the size bound 4*(1 + 1/eps)*log2(|packing|).
 
     Tries the constructive dense-subgraph procedure when the density
-    precondition holds, then exhaustive subsets up to the bound.  Every
+    precondition holds, then every connected vertex set up to the bound
+    whose edges' sets are pairwise disjoint, by size, then lex order.  Every
     candidate is validated (incoming pairwise disjoint, strictly improving);
     invalid candidates are skipped, and None means no validated improvement
     was found -- not that none exists of larger size.
@@ -206,14 +211,40 @@ def log_improvement_search(
             found = candidate_from(dense)
             if found is not None:
                 return found
-    for size in range(1, size_cap + 1):
-        for subset in combinations(range(n_aux), size):
-            budget.spend()
-            x = set(subset)
-            if induced_edge_count(aux, x) > size:
-                found = candidate_from(x)
-                if found is not None:
-                    return found
+    # A set is validated iff it is dense and the sets behind its induced
+    # edges are pairwise disjoint; the second holds for every subset too, so
+    # a set that breaks it is not grown.  The first validated set is
+    # connected: a dense component of a disconnected one is validated at a
+    # smaller size.
+    between: list[dict[int, list[int]]] = [{} for _ in range(n_aux)]
+    for (a, b), f in zip(aux.edges, labels):
+        between[a].setdefault(b, []).append(f)
+        between[b].setdefault(a, []).append(f)
+
+    def grow(members, w, state):
+        # (edges minus vertices, elements of the induced edges' sets)
+        excess, used = state
+        fresh = [f for c in members for f in between[w].get(c, ())]
+        elems = [e for f in fresh for e in instance.sets[f]]
+        met = used.union(elems)
+        if len(met) < len(used) + len(elems):
+            return None
+        return excess - 1 + len(fresh), met
+
+    layers = _connected_layers(
+        range(n_aux),
+        size_cap,
+        between.__getitem__,
+        grow,
+        (0, frozenset()),
+        lambda state: state[0] > 0,
+        budget,
+    )
+    for dense_sets in layers:
+        for x in dense_sets:
+            found = candidate_from(set(x))
+            if found is not None:
+                return found
     return None
 
 

@@ -12,15 +12,12 @@ implementation for both.
 """
 from __future__ import annotations
 
-import logging
 import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
 from .util import CapExceededError
-
-logger = logging.getLogger(__name__)
 
 EXHAUSTIVE_GUARD = 20
 
@@ -129,14 +126,7 @@ def _lollipop(n: int, edges: list[tuple[int, int]], root: int) -> frozenset[int]
         if spare is None:
             continue
         w = spare[0]
-        y = path_to_root(u) | path_to_root(w)
-        bound = 2 * math.log2(n) if n > 1 else 1
-        if len(y) > bound:
-            logger.warning(
-                "lollipop from %d has %d vertices, above 2*log2(%d) = %.2f",
-                root, len(y), n, bound,
-            )
-        return frozenset(y)
+        return frozenset(path_to_root(u) | path_to_root(w))
     return None
 
 

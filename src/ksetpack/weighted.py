@@ -8,8 +8,21 @@ rise differs between the searches: p = 1 for the Hurkens-Schrijver t-swap
 (`local_search.t_local_search`), p = w² for SquareImp, p = w^alpha for the
 misdirected power search, and Berman's charges for the nice-claw loops
 (WishfulThinking and the rescale-and-floor variant).  The greedy baseline
-lives here too.  All comparisons are exact rationals except non-integer
-alpha, which uses fixed-precision decimals with a documented margin.
+lives here too.  All comparisons are exact (rationals, scaled to integers
+by their common denominator) except non-integer alpha, which uses
+fixed-precision decimals with a documented margin.
+
+A swap search probes only connected sets of outside vertices: two are
+linked when they are non-adjacent and share a solution neighbour.  The
+gain adds up over the link components of a set, so at the first size with
+an improving set every improving set is connected, and the lex-first swap
+over all subsets is found among the connected ones.  They are enumerated
+by least vertex in the manner of Wernicke's ESU (`_connected_sets`), which
+`local_search.log_improvement_search` runs too.  The margin of non-integer
+alpha does not add up over components, so that path keeps the enumeration
+of every non-adjacent subset.  Each vertex's solution neighbours are built
+once per run and updated, per swap, for the vertices the swap touched;
+every applied swap is still checked for independence in full.
 
 Solution sets are frozensets of vertex ids.  Functions accept an optional
 weight override so callers can search under modified weights (rescaled,
@@ -19,6 +32,7 @@ though graph weights themselves are strictly positive.
 from __future__ import annotations
 
 import decimal
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -61,12 +75,11 @@ def _solution_neighbors(graph: ConflictGraph, a: frozenset[int], u: int) -> list
 _Step = Callable[[frozenset[int]], "frozenset[int] | None"]
 
 
-def _disjoint_subsets(candidates, nbr, size, budget, prune):
+def _disjoint_subsets(candidates, nbr, size, budget):
     """Yield all pairwise non-adjacent subsets of `candidates` of exactly
-    `size`, in lexicographic order, pruning conflicts as early as possible.
-    One work unit per probe.  With `prune`, a branch also stops once too few
-    candidates remain to reach `size`; the swap searches leave it off, as
-    their work units count the unpruned probes."""
+    `size`, in lexicographic order, pruning conflicts as early as possible
+    and stopping a branch once too few candidates remain to reach `size`.
+    One work unit per probe."""
 
     chosen: list[int] = []
 
@@ -74,9 +87,7 @@ def _disjoint_subsets(candidates, nbr, size, budget, prune):
         if len(chosen) == size:
             yield tuple(chosen)
             return
-        for idx in range(start, len(candidates)):
-            if prune and len(candidates) - idx < size - len(chosen):
-                return
+        for idx in range(start, len(candidates) - (size - len(chosen)) + 1):
             budget.spend()
             c = candidates[idx]
             if any(p in nbr[c] for p in chosen):
@@ -88,21 +99,132 @@ def _disjoint_subsets(candidates, nbr, size, budget, prune):
     yield from extend(0)
 
 
-def _gain(nbr, a, potential, incoming) -> Fraction | Decimal | int:
+def _connected_sets(anchor, size, links, grow, start, budget):
+    """Yield (members, state) once for each connected set of exactly `size`
+    vertices whose least vertex is `anchor` (Wernicke's ESU: a set grows
+    by the vertices its parent may still add and by those neighbours of its
+    newest vertex that are neither members nor members' neighbours, so no
+    set recurs).
+
+    `links(w)` lists w's neighbours, each once.  `grow(members, w, state)`
+    is the state of members + [w], or None to skip that set and every set
+    grown from it; the veto must hold for all supersets too.  `start` is
+    the state of the empty set, and `members` is a shared list.  One work
+    unit per connected set probed, the anchor alone included."""
+    budget.spend()
+    state = grow([], anchor, start)
+    if state is None:
+        return
+    members = [anchor]
+    if size == 1:
+        yield members, state
+        return
+    ext = [u for u in links(anchor) if u > anchor]
+    # one frame per member: the vertices it may still grow by, the members
+    # and their neighbours, and its state
+    frames = [(ext, {anchor, *ext}, state)]
+    while frames:
+        ext, closed, state = frames[-1]
+        if not ext:
+            frames.pop()
+            members.pop()
+            continue
+        w = ext.pop()
+        budget.spend()
+        after = grow(members, w, state)
+        if after is None:
+            continue
+        members.append(w)
+        if len(members) == size:
+            yield members, after
+            members.pop()
+            continue
+        fresh = [u for u in links(w) if u > anchor and u not in closed]
+        frames.append((ext + fresh, closed.union(fresh), after))
+
+
+def _connected_layers(anchors, max_size, links, grow, start, keep, budget):
+    """For each size from 1 to max_size and each anchor in ascending order,
+    the sorted list of the connected sets of that size with that least
+    vertex whose state passes `keep`, when there are any.  An anchor with
+    no set of some size has none larger, so it is dropped."""
+    live = list(anchors)
+    for size in range(1, max_size + 1):
+        still = []
+        for anchor in live:
+            reached = False
+            found = []
+            for members, state in _connected_sets(anchor, size, links, grow, start, budget):
+                reached = True
+                if keep(state):
+                    found.append(tuple(sorted(members)))
+            if reached:
+                still.append(anchor)
+            if found:
+                yield sorted(found)
+        live = still
+
+
+def _gain(sol, potential, incoming) -> Fraction | Decimal | int:
     """Rise of the potential's sum over A when `incoming` swaps in and its
     solution neighbours leave."""
-    removed = {x for u in incoming for x in nbr[u] if x in a}
+    removed = set().union(*(sol[u] for u in incoming))
     return sum(potential[u] for u in incoming) - sum(potential[x] for x in removed)
 
 
-def _first_improvement(nbr, a, potential, candidates, t, budget, threshold=0):
-    """First subset of at most t candidates, by size then lex order, whose
-    swap raises the potential by more than `threshold`."""
-    for size in range(1, t + 1):
-        for incoming in _disjoint_subsets(candidates, nbr, size, budget, prune=False):
-            if _gain(nbr, a, potential, incoming) > threshold:
-                return incoming
+def _first_improvement(nbr, sol, potential, candidates, t, budget, threshold=0):
+    """First subset of at most t candidates (ascending ids), by size then
+    lex order, whose swap raises the potential by more than `threshold`.
+    `sol[u]` is u's solution neighbours.
+
+    Link two candidates when they are non-adjacent and share a solution
+    neighbour.  The removed members of two link components are disjoint, so
+    the gain adds up over the components of a subset: an improving subset
+    of several components has an improving component of smaller size.  At
+    the first size with an improving subset every improving subset is then
+    connected, and the lex-first is the lex-least at the least anchor that
+    has one.  So only connected subsets are probed.  A nonzero threshold
+    does not add up over components; that path keeps the full enumeration.
+    """
+    if threshold != 0:
+        for size in range(1, t + 1):
+            for incoming in _disjoint_subsets(candidates, nbr, size, budget):
+                if _gain(sol, potential, incoming) > threshold:
+                    return incoming
+        return None
+
+    allowed = set(candidates)
+    cache: dict[int, set[int]] = {}
+
+    def links(w: int) -> set[int]:
+        if w not in cache:
+            # every neighbour of a member lies outside A
+            near = set().union(*(nbr[m] for m in sol[w]))
+            near -= nbr[w]
+            near.discard(w)
+            cache[w] = near & allowed
+        return cache[w]
+
+    def grow(members, w, state):
+        if any(c in nbr[w] for c in members):
+            return None
+        gain, removed = state
+        leaving = sol[w] - removed
+        return gain + potential[w] - sum(potential[x] for x in leaving), removed | leaving
+
+    layers = _connected_layers(
+        candidates, t, links, grow, (0, frozenset()), lambda state: state[0] > 0, budget
+    )
+    for found in layers:
+        return found[0]
     return None
+
+
+def _integral(potential) -> list[int]:
+    """The rational potential times the least common denominator of its
+    values: every gain keeps its sign, in integer arithmetic."""
+    scale = math.lcm(*(Fraction(p).denominator for p in potential))
+    return [int(p * scale) for p in potential]
 
 
 def _apply_swap(
@@ -112,19 +234,57 @@ def _apply_swap(
     return _check_independent(graph, (a - removed) | frozenset(incoming))
 
 
+class _SolutionNeighbors:
+    """Each vertex's solution neighbours under a solution A, built once and
+    then updated, per applied swap, for the vertices the swap touched."""
+
+    def __init__(self, graph: ConflictGraph):
+        self.graph = graph
+        self.nbr = [frozenset(graph.neighbors[u]) for u in range(graph.vertex_count)]
+        self.a: frozenset[int] | None = None
+        self.sol: list[set[int]] = []
+
+    def at(self, a: frozenset[int]) -> list[set[int]]:
+        """The solution neighbours under `a`, rebuilt if `a` is not the
+        solution they were last kept for."""
+        if a is not self.a and a != self.a:
+            self.a = a
+            self.sol = [set(self.nbr[u] & a) for u in range(self.graph.vertex_count)]
+        return self.sol
+
+    def swap(self, a: frozenset[int], incoming: tuple[int, ...]) -> frozenset[int]:
+        """Apply the swap to `a` (checked as ever) and update the touched
+        vertices: the neighbours of the members that left or came in."""
+        sol = self.at(a)
+        after = _apply_swap(self.graph, a, incoming)
+        for x in a - after:
+            for u in self.nbr[x]:
+                sol[u].discard(x)
+        for i in incoming:
+            for u in self.nbr[i]:
+                sol[u].add(i)
+        self.a = after
+        return after
+
+
 def _t_swap_step(graph: ConflictGraph, potential, t: int, budget, margin=None) -> _Step:
     """Swaps of at most t outside vertices that raise the potential; with a
     `margin`, the rise must exceed margin * (|p(A)| + 1)."""
     budget = budget if budget is not None else WorkBudget()
-    nbr = [frozenset(graph.neighbors[u]) for u in range(graph.vertex_count)]
+    view = _SolutionNeighbors(graph)
+    if margin is None:
+        potential = _integral(potential)
 
     def step(a: frozenset[int]) -> frozenset[int] | None:
         threshold = 0
         if margin is not None:
             threshold = margin * (abs(sum(potential[x] for x in a)) + 1)
+        sol = view.at(a)
         outside = [u for u in range(graph.vertex_count) if u not in a]
-        incoming = _first_improvement(nbr, a, potential, outside, t, budget, threshold)
-        return None if incoming is None else _apply_swap(graph, a, incoming)
+        incoming = _first_improvement(
+            view.nbr, sol, potential, outside, t, budget, threshold
+        )
+        return None if incoming is None else view.swap(a, incoming)
 
     return step
 
@@ -299,7 +459,7 @@ def _assert_claw_free(graph: ConflictGraph, claw_bound: int, budget) -> None:
         if graph.degree(v) > NEIGHBORHOOD_GUARD:
             around = graph.neighbors[v]
             nbr = {u: frozenset(graph.neighbors[u]) for u in around}
-            claws = _disjoint_subsets(around, nbr, claw_bound, budget, prune=True)
+            claws = _disjoint_subsets(around, nbr, claw_bound, budget)
             has_claw = next(claws, None) is not None
         else:
             has_claw = max_independent_in_neighborhood(graph, v) >= claw_bound
@@ -366,22 +526,23 @@ def square_imp(
     accepted swap strictly increases w²(A), so the loop terminates."""
     w = weights if weights is not None else graph.weights
     budget = budget if budget is not None else WorkBudget()
-    squares = [x * x for x in w]
-    nbr = [frozenset(graph.neighbors[u]) for u in range(graph.vertex_count)]
+    squares = _integral([x * x for x in w])
+    view = _SolutionNeighbors(graph)
 
     def step(a: frozenset[int]) -> frozenset[int] | None:
+        sol = view.at(a)
         for u in range(graph.vertex_count):
             budget.spend()
-            if u not in a and _gain(nbr, a, squares, (u,)) > 0:
-                return _apply_swap(graph, a, (u,))
+            if u not in a and _gain(sol, squares, (u,)) > 0:
+                return view.swap(a, (u,))
         for v in sorted(a):
             cands = [u for u in graph.neighbors[v] if u not in a]
             limit = max_talons if max_talons is not None else len(cands)
             talons = _first_improvement(
-                nbr, a, squares, cands, min(limit, len(cands)), budget
+                view.nbr, sol, squares, cands, min(limit, len(cands)), budget
             )
             if talons is not None:
-                return _apply_swap(graph, a, talons)
+                return view.swap(a, talons)
         return None
 
     return _search(frozenset(), step, stats)

@@ -6,10 +6,21 @@ that is still instant.  The point is independence from the code under test.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
-from ksetpack import ConflictGraph, Instance, Multigraph, Packing, is_packing
+from ksetpack import (
+    ConflictGraph,
+    ImprovingSet,
+    Instance,
+    Multigraph,
+    Packing,
+    build_auxiliary_multigraph,
+    find_dense_subgraph,
+    induced_edge_count,
+    is_packing,
+)
 
 
 def brute_max_weight_independent(
@@ -87,6 +98,70 @@ def brute_find_improving(instance: Instance, packing: Packing, t: int):
             outgoing = sorted({member_of[e] for i in combo for e in instance.sets[i] if e in member_of})
             if size > len(outgoing):
                 return combo, tuple(outgoing)
+    return None
+
+
+def all_pairs_conflict_graph(instance: Instance) -> ConflictGraph:
+    """The conflict graph by testing every pair of sets for an overlap."""
+    sets = [frozenset(s) for s in instance.sets]
+    edges = [
+        (i, j)
+        for i in range(len(sets))
+        for j in range(i + 1, len(sets))
+        if sets[i] & sets[j]
+    ]
+    return ConflictGraph.from_edges(instance.n, edges, instance.weights)
+
+
+def brute_first_improvement(graph: ConflictGraph, a, potential, candidates, t):
+    """First pairwise non-adjacent subset of at most t candidates, by size
+    then lex order, whose swap raises the sum of `potential` over A."""
+    for size in range(1, t + 1):
+        for combo in itertools.combinations(sorted(candidates), size):
+            if any(graph.adjacent(u, v) for u, v in itertools.combinations(combo, 2)):
+                continue
+            removed = {x for u in combo for x in graph.neighbors[u] if x in a}
+            if sum(potential[u] for u in combo) > sum(potential[x] for x in removed):
+                return combo
+    return None
+
+
+def exhaustive_log_improvement(instance: Instance, packing: Packing, epsilon: Fraction):
+    """The log-size improvement search with every subset of the auxiliary
+    multigraph's vertices probed, by size then lex order, up to the size
+    bound, after the constructive dense-subgraph route."""
+    aux, labels = build_auxiliary_multigraph(instance, packing, include_loops=False)
+    n_aux = aux.vertex_count
+    if n_aux < 2:
+        return None
+    size_cap = min(n_aux, math.floor(4 * (1 + 1 / epsilon) * math.log2(n_aux) + 1e-9))
+
+    def candidate_from(x):
+        incoming = sorted(labels[i] for i, (a, b) in enumerate(aux.edges) if a in x and b in x)
+        seen: set[int] = set()
+        for i in incoming:
+            if seen & set(instance.sets[i]):
+                return None
+            seen |= set(instance.sets[i])
+        outgoing = sorted(m for m in packing.members if seen & set(instance.sets[m]))
+        if len(incoming) <= len(outgoing):
+            return None
+        return ImprovingSet(incoming=tuple(incoming), outgoing=tuple(outgoing))
+
+    h = math.ceil(1 / epsilon)
+    if h * len(aux.edges) >= (h + 1) * n_aux:
+        dense = find_dense_subgraph(aux, h)
+        if len(dense) <= size_cap:
+            found = candidate_from(dense)
+            if found is not None:
+                return found
+    for size in range(1, size_cap + 1):
+        for subset in itertools.combinations(range(n_aux), size):
+            x = set(subset)
+            if induced_edge_count(aux, x) > size:
+                found = candidate_from(x)
+                if found is not None:
+                    return found
     return None
 
 

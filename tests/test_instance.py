@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import all_pairs_conflict_graph
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -27,6 +28,24 @@ from ksetpack import (
 
 
 def inst(universe=6, sets=((0, 1), (2, 3)), k=2, weights=None):
+    return Instance(universe_size=universe, sets=tuple(sets), k=k, weights=weights)
+
+
+@st.composite
+def instances(draw):
+    universe = draw(st.integers(min_value=2, max_value=12))
+    k = draw(st.integers(min_value=1, max_value=min(3, universe)))
+    pool = list(itertools.chain.from_iterable(
+        itertools.combinations(range(universe), size) for size in range(1, k + 1)
+    ))
+    sets = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    weighted = draw(st.booleans())
+    weights = None
+    if weighted:
+        weights = tuple(
+            Fraction(draw(st.integers(min_value=1, max_value=40)), draw(st.integers(min_value=1, max_value=7)))
+            for _ in sets
+        )
     return Instance(universe_size=universe, sets=tuple(sets), k=k, weights=weights)
 
 
@@ -144,6 +163,10 @@ class TestConflictGraph:
                 overlaps = bool(set(got.sets[i]) & set(got.sets[j]))
                 assert g.adjacent(i, j) == overlaps
 
+    @given(instances())
+    def test_matches_all_pairs_reference(self, instance):
+        assert conflict_graph(instance) == all_pairs_conflict_graph(instance)
+
     def test_fano_is_complete(self, fano):
         g = conflict_graph(fano)
         assert all(g.degree(v) == 6 for v in range(7))
@@ -248,24 +271,6 @@ class TestInstanceFromGraph:
             instance_from_graph(3, [(0, 1), (1, 0)])
         with pytest.raises(ValueError):
             instance_from_graph(2, [(0, 2)])
-
-
-@st.composite
-def instances(draw):
-    universe = draw(st.integers(min_value=2, max_value=12))
-    k = draw(st.integers(min_value=1, max_value=min(3, universe)))
-    pool = list(itertools.chain.from_iterable(
-        itertools.combinations(range(universe), size) for size in range(1, k + 1)
-    ))
-    sets = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
-    weighted = draw(st.booleans())
-    weights = None
-    if weighted:
-        weights = tuple(
-            Fraction(draw(st.integers(min_value=1, max_value=40)), draw(st.integers(min_value=1, max_value=7)))
-            for _ in sets
-        )
-    return Instance(universe_size=universe, sets=tuple(sets), k=k, weights=weights)
 
 
 class TestFileFormat:

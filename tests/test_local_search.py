@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import brute_find_improving
+from helpers import brute_find_improving, exhaustive_log_improvement
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -27,6 +27,7 @@ from ksetpack import (
     power_local_search,
     t_local_search,
 )
+from ksetpack.bench import run_algorithm
 
 
 def planted_three_for_two():
@@ -170,6 +171,19 @@ class TestTLocalSearch:
                 assert stats[0].iterations == stats[1].iterations
                 assert budgets[0].spent == budgets[1].spent
 
+    def test_three_swaps_probe_connected_sets_only(self):
+        # members and swaps of the all-subsets search, which spent 511030
+        # work units here
+        run = run_algorithm(gen_random(300, 200, 3, 1), "local:3")
+        assert run.members == (
+            2, 3, 4, 5, 6, 8, 11, 14, 16, 17, 18, 19, 20, 21, 22, 25, 28, 30, 31,
+            33, 34, 36, 38, 40, 42, 43, 45, 46, 47, 51, 52, 53, 54, 55, 57, 58,
+            60, 64, 65, 66, 71, 72, 73, 77, 79, 80, 84, 85, 96, 112, 114, 117,
+            129, 130, 134, 148, 157, 159, 162, 176, 177, 195,
+        )
+        assert run.iterations == 62
+        assert run.work < 100_000
+
 
 class TestHsBound:
     def test_frozen_values(self):
@@ -248,6 +262,58 @@ class TestLogImprovementSearch:
         )
         found = log_improvement_search(got, Packing((0, 1)), Fraction(1))
         assert found is None
+
+
+def planted_log_improvement(n: int, seed: int) -> tuple[Instance, Packing]:
+    """A 2-locally optimal packing of a random instance with r + 1 pairwise
+    disjoint pairs added across r of its members (a cycle and a chord, or
+    three parallel pairs), and two decoy pairs from those members to others.
+    No outside set met two of the r members before.  The pairs meet two
+    members each, so the packing stays 2-locally optimal."""
+    rng = random.Random(1000 * n + seed)
+    base = gen_random(n * 3 // 2, n, 3, seed)
+    packing = t_local_search(base, 2)
+    aux, _ = build_auxiliary_multigraph(base, packing, include_loops=False)
+    linked = {frozenset(e) for e in aux.edges}
+    want = rng.randrange(2, 6)
+    chosen: list[int] = []
+    for pos in rng.sample(range(len(packing.members)), len(packing.members)):
+        if len(chosen) < want and all(frozenset((pos, c)) not in linked for c in chosen):
+            chosen.append(pos)
+    chosen = [packing.members[pos] for pos in chosen]
+    r = len(chosen)
+    assert r >= 2
+    spare = {m: rng.sample(base.sets[m], 3) for m in chosen}
+    ends = [(chosen[i], chosen[(i + 1) % r]) for i in range(r)]
+    ends = [tuple(chosen)] * 3 if r == 2 else ends + [tuple(rng.sample(chosen, 2))]
+    extra = [tuple(sorted((spare[u].pop(), spare[v].pop()))) for u, v in ends]
+    others = [m for m in packing.members if m not in chosen]
+    for _ in range(2):
+        u, v = rng.choice(chosen), rng.choice(others)
+        extra.append(tuple(sorted((rng.choice(base.sets[u]), rng.choice(base.sets[v])))))
+    return Instance(base.universe_size, base.sets + tuple(extra), 3), packing
+
+
+class TestLogImprovementDifferential:
+    """The connected search against a copy of the exhaustive search over
+    every vertex subset of the auxiliary multigraph."""
+
+    def test_matches_exhaustive_search(self):
+        cases = []
+        for n in (20, 30, 40, 50, 60):
+            for seed in range(1, 7):
+                cases.append(planted_log_improvement(n, seed))
+                if n <= 40:
+                    plain = gen_random(n * 3 // 2, n, 3, seed)
+                    cases.append((plain, t_local_search(plain, 2)))
+        found = set()
+        for instance, packing in cases:
+            assert t_local_search(instance, 2, start=packing) == packing
+            for eps in (Fraction(1), Fraction(3)):
+                want = exhaustive_log_improvement(instance, packing, eps)
+                assert log_improvement_search(instance, packing, eps) == want
+                found.add(None if want is None else len(want.incoming))
+        assert {None, 3, 4, 5, 6} <= found
 
 
 class TestLogLocalSearch:

@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import random_state
+from helpers import brute_first_improvement, random_state
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ksetpack import (
     CapExceededError,
@@ -28,7 +30,7 @@ from ksetpack import (
     total_weight,
     wishful_thinking,
 )
-from ksetpack.weighted import rescale_floor_weights
+from ksetpack.weighted import _first_improvement, rescale_floor_weights
 
 F = Fraction
 
@@ -327,6 +329,35 @@ class TestWishfulThinking:
         stats = SearchStats()
         wishful_thinking(g, 4, stats=stats)
         assert stats.iterations >= 2
+
+
+@st.composite
+def swap_states(draw):
+    """A random graph with a potential, an independent set A, a sorted list
+    of candidates outside A, and a swap size t."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = ConflictGraph.from_edges(n, [e for e, kept in zip(pairs, keep) if kept])
+    fractions = st.fractions(min_value=0, max_value=5, max_denominator=3)
+    potential = draw(st.lists(fractions, min_size=n, max_size=n))
+    a: set[int] = set()
+    for v in draw(st.permutations(range(n))):
+        if draw(st.booleans()) and not any(u in a for u in g.neighbors[v]):
+            a.add(v)
+    outside = [u for u in range(n) if u not in a]
+    candidates = draw(st.sets(st.sampled_from(outside))) if outside else set()
+    return g, potential, frozenset(a), sorted(candidates), draw(st.integers(1, 4))
+
+
+class TestFirstImprovement:
+    @given(swap_states())
+    def test_is_brute_force_first(self, state):
+        g, potential, a, candidates, t = state
+        nbr = [frozenset(g.neighbors[u]) for u in range(g.vertex_count)]
+        sol = [set(nbr[u] & a) for u in range(g.vertex_count)]
+        got = _first_improvement(nbr, sol, potential, candidates, t, WorkBudget())
+        assert got == brute_first_improvement(g, a, potential, candidates, t)
 
 
 class TestSquareImp:
