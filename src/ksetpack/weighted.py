@@ -3,14 +3,15 @@ swap engine every local search of the package runs on.
 
 The engine keeps an independent set A and applies a first improving swap
 until none is left: add pairwise non-adjacent outside vertices, remove
-their solution neighbours.  Only the potential p whose sum must strictly
-rise differs between the searches: p = 1 for the Hurkens-Schrijver t-swap
-(`local_search.t_local_search`), p = w² for SquareImp, p = w^alpha for the
-misdirected power search, and Berman's charges for the nice-claw loops
-(WishfulThinking and the rescale-and-floor variant).  The greedy baseline
-lives here too.  All comparisons are exact (rationals, scaled to integers
-by their common denominator) except non-integer alpha, which uses
-fixed-precision decimals with a documented margin.
+their solution neighbours.  Only the test of a swap differs between the
+searches: a rise in the sum of a potential p, with p = 1 for the
+Hurkens-Schrijver t-swap (`local_search.t_local_search`), p = w² for
+SquareImp and p = w^alpha for the misdirected power search; or, in
+Berman's nice-claw loops (WishfulThinking and the rescale-and-floor
+variant), talons whose charges pass half the center's weight.  The greedy
+baseline lives here too.  All comparisons are exact (rationals, scaled to
+integers by their common denominator) except non-integer alpha, which
+uses fixed-precision decimals with a documented margin.
 
 A swap search probes only connected sets of outside vertices: two are
 linked when they are non-adjacent and share a solution neighbour.  The
@@ -22,7 +23,10 @@ by least vertex in the manner of Wernicke's ESU (`_connected_sets`), which
 alpha does not add up over components, so that path keeps the enumeration
 of every non-adjacent subset.  Each vertex's solution neighbours are built
 once per run and updated, per swap, for the vertices the swap touched;
-every applied swap is still checked for independence in full.
+every applied swap is checked for independence in full, once.  The
+nice-claw loops read their charges off the same view, doubled and in
+integers, and find talons by one depth-first search whose first branch is
+the greedy pick.
 
 Solution sets are frozensets of vertex ids.  Functions accept an optional
 weight override so callers can search under modified weights (rescaled,
@@ -36,9 +40,10 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Sequence
 
-from .instance import ConflictGraph, max_independent_in_neighborhood, NEIGHBORHOOD_GUARD
+from .instance import ConflictGraph
 from .util import SearchStats, WorkBudget
 
 # decimal digits for the weight powers of fractional alpha in the power search
@@ -64,10 +69,6 @@ def _check_independent(graph: ConflictGraph, a) -> frozenset[int]:
             if v > u and v in a:
                 raise ValueError(f"set is not independent: edge ({u}, {v})")
     return a
-
-
-def _solution_neighbors(graph: ConflictGraph, a: frozenset[int], u: int) -> list[int]:
-    return [v for v in graph.neighbors[u] if v in a]
 
 
 # The swap engine.  A step maps A to the next solution, or to None at a
@@ -300,6 +301,11 @@ def _search(a: frozenset[int], step: _Step, stats: SearchStats | None):
             stats.iterations += 1
 
 
+def _heaviest(nbrs, w) -> int | None:
+    """The heaviest of `nbrs`, ties to the lowest id; None when empty."""
+    return min(nbrs, key=lambda v: (-w[v], v), default=None)
+
+
 def heaviest_solution_neighbor(
     graph: ConflictGraph,
     a: frozenset[int],
@@ -308,11 +314,10 @@ def heaviest_solution_neighbor(
 ) -> int | None:
     """n(u, A): the maximum-weight neighbor of u inside A, ties to the
     lowest id; None when u has no neighbor in A."""
+    if not (0 <= u < graph.vertex_count):
+        raise ValueError(f"vertex {u} out of range")
     w = weights if weights is not None else graph.weights
-    nbrs = _solution_neighbors(graph, a, u)
-    if not nbrs:
-        return None
-    return min(nbrs, key=lambda v: (-w[v], v))
+    return _heaviest([v for v in graph.neighbors[u] if v in a], w)
 
 
 def charge(
@@ -325,18 +330,17 @@ def charge(
     """w(u) - w(N(u) ∩ A)/2 when v is u's heaviest solution neighbor,
     else 0.  Each outside vertex thus charges at most one member."""
     a = _check_independent(graph, a)
+    if not (0 <= u < graph.vertex_count):
+        raise ValueError(f"vertex {u} out of range")
     if u in a:
         raise ValueError(f"u = {u} must lie outside the solution")
     if v not in a:
         raise ValueError(f"v = {v} must lie inside the solution")
-    return _charge(graph, a, u, v, weights if weights is not None else graph.weights)
-
-
-def _charge(graph: ConflictGraph, a: frozenset[int], u: int, v: int, w) -> Fraction:
-    if heaviest_solution_neighbor(graph, a, u, w) != v:
+    w = weights if weights is not None else graph.weights
+    nbrs = [x for x in graph.neighbors[u] if x in a]
+    if _heaviest(nbrs, w) != v:
         return Fraction(0)
-    total = sum((w[x] for x in _solution_neighbors(graph, a, u)), Fraction(0))
-    return w[u] - Fraction(1, 2) * total
+    return w[u] - Fraction(1, 2) * sum((w[x] for x in nbrs), Fraction(0))
 
 
 def find_nice_claw(
@@ -349,81 +353,62 @@ def find_nice_claw(
 
     1-claws first (an outside vertex with no solution neighbor, lowest id).
     Then, for each center v in A: candidates are outside neighbors charging
-    v positively; greedy accumulation in decreasing charge order usually
-    exceeds w(v)/2 when possible, but independence conflicts can defeat it,
-    so an exhaustive pass over independent candidate subsets backs it up --
-    None is then a certificate that no good claw exists at all.
+    v positively, and the talons are the first independent subset of them
+    whose charges sum past w(v)/2, searched depth-first in decreasing
+    charge order.  The first branch is the greedy pick, and the search is
+    exhaustive, so None is a certificate that no good claw exists at all.
     """
     a = _check_independent(graph, a)
-    w = weights if weights is not None else graph.weights
+    view = _SolutionNeighbors(graph)
+    w = _integral(weights if weights is not None else graph.weights)
     budget = budget if budget is not None else WorkBudget()
+    return _nice_claw(view, view.at(a), a, w, budget)
 
-    for u in range(graph.vertex_count):
+
+def _nice_claw(view: _SolutionNeighbors, sol, a: frozenset[int], w, budget) -> Claw | None:
+    """`find_nice_claw` on A's solution neighbours `sol` and integer weights
+    `w`: u's doubled charge 2w(u) - w(sol[u]) goes to its heaviest solution
+    neighbour v and is compared with w(v)."""
+    cands: dict[int, list[tuple[int, int]]] = {}
+    for u in range(view.graph.vertex_count):
         budget.spend()
-        if u not in a and not _solution_neighbors(graph, a, u):
+        if u in a:
+            continue
+        if not sol[u]:
             return Claw(center=None, talons=(u,))
-
-    for v in sorted(a):
-        half = Fraction(1, 2) * w[v]
-        outside = [u for u in graph.neighbors[v] if u not in a]
-        charges = [(_charge(graph, a, u, v, w), u) for u in outside]
-        cands = [(c, u) for c, u in charges if c > 0]
-        if not cands:
-            continue
-        if sum((c for c, _ in cands), Fraction(0)) <= half:
-            continue
-        cands.sort(key=lambda cu: (-cu[0], cu[1]))
-        nbr = [frozenset(graph.neighbors[u]) for _, u in cands]
-
-        picked: list[tuple[Fraction, int]] = []
-        total = Fraction(0)
-        for i, (c, u) in enumerate(cands):
-            budget.spend()
-            if any(u in graph.neighbors[p] for _, p in picked):
-                continue
-            picked.append((c, u))
-            total += c
-            if total > half:
-                break
-        if total <= half:
-            picked = _exhaustive_talons(cands, nbr, half, budget)
-        # picked in non-increasing charge order up to the first sum past
-        # half, so dropping any talon brings the sum back to <= half
-        if picked is not None:
-            return Claw(center=v, talons=tuple(sorted(u for _, u in picked)))
+        doubled = 2 * w[u] - sum(w[x] for x in sol[u])
+        if doubled > 0:
+            cands.setdefault(_heaviest(sol[u], w), []).append((doubled, u))
+    for v in sorted(cands):
+        ranked = sorted(cands[v], key=lambda cu: (-cu[0], cu[1]))
+        talons = _exhaustive_talons(ranked, view.nbr, w[v], budget)
+        if talons is not None:
+            return Claw(center=v, talons=tuple(sorted(talons)))
     return None
 
 
-def _exhaustive_talons(
-    cands: list[tuple[Fraction, int]],
-    nbr: list[frozenset[int]],
-    half: Fraction,
-    budget: WorkBudget,
-) -> list[tuple[Fraction, int]] | None:
-    """First independent subset of candidates whose charges sum past half,
-    searched depth-first in the given order with a suffix-sum prune."""
-    suffix = [Fraction(0)] * (len(cands) + 1)
-    for i in range(len(cands) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + cands[i][0]
-
-    chosen: list[tuple[Fraction, int]] = []
-
-    def dfs(i: int, total: Fraction) -> list[tuple[Fraction, int]] | None:
-        if total > half:
-            return list(chosen)
-        if i == len(cands) or total + suffix[i] <= half:
-            return None
-        budget.spend()
-        c, u = cands[i]
-        if not any(p in nbr[i] for _, p in chosen):
-            chosen.append((c, u))
-            found = dfs(i + 1, total + c)
-            if found is not None:
-                return found
-            chosen.pop()
-        return dfs(i + 1, total)
-
-    return dfs(0, Fraction(0))
+def _exhaustive_talons(cands, nbr, bar, budget) -> list[int] | None:
+    """The first independent subset of the (charge, vertex) candidates whose
+    charges sum past `bar`, depth-first in the given order; a branch ends
+    once the charges left cannot pass `bar`.  In non-increasing charge order
+    up to the first sum past `bar`, every talon taken is needed."""
+    suffix = list(accumulate((c for c, _ in reversed(cands)), initial=0))[::-1]
+    taken: list[int] = []
+    i = total = 0
+    while total <= bar:
+        if i == len(cands) or total + suffix[i] <= bar:
+            if not taken:
+                return None
+            i = taken.pop()
+            total -= cands[i][0]
+        else:
+            budget.spend()
+            c, u = cands[i]
+            if not any(cands[j][1] in nbr[u] for j in taken):
+                taken.append(i)
+                total += c
+        i += 1
+    return [cands[j][1] for j in taken]
 
 
 def apply_claw(
@@ -452,21 +437,12 @@ def apply_claw(
 
 def _assert_claw_free(graph: ConflictGraph, claw_bound: int, budget) -> None:
     """Error when some neighborhood holds claw_bound independent vertices.
-    Neighborhoods up to the guard use the bitmask search; larger ones are
-    searched for claw_bound non-adjacent vertices on `budget`, so a dense
-    input ends in CapExceededError rather than running unbounded."""
+    Every neighborhood is searched for them on `budget`, so a dense input
+    ends in CapExceededError rather than running unbounded."""
+    nbr = [frozenset(graph.neighbors[u]) for u in range(graph.vertex_count)]
     for v in range(graph.vertex_count):
-        if graph.degree(v) > NEIGHBORHOOD_GUARD:
-            around = graph.neighbors[v]
-            nbr = {u: frozenset(graph.neighbors[u]) for u in around}
-            claws = _disjoint_subsets(around, nbr, claw_bound, budget)
-            has_claw = next(claws, None) is not None
-        else:
-            has_claw = max_independent_in_neighborhood(graph, v) >= claw_bound
-        if has_claw:
-            raise ValueError(
-                f"graph is not {claw_bound}-claw-free (witness center {v})"
-            )
+        if next(_disjoint_subsets(graph.neighbors[v], nbr, claw_bound, budget), None) is not None:
+            raise ValueError(f"graph is not {claw_bound}-claw-free (witness center {v})")
 
 
 def squared_weight(
@@ -505,10 +481,12 @@ def wishful_thinking(
 
 def _nice_claw_step(graph: ConflictGraph, weights, budget: WorkBudget | None) -> _Step:
     budget = budget if budget is not None else WorkBudget()
+    view = _SolutionNeighbors(graph)
+    w = _integral(weights if weights is not None else graph.weights)
 
     def step(a: frozenset[int]) -> frozenset[int] | None:
-        claw = find_nice_claw(graph, a, weights, budget)
-        return None if claw is None else apply_claw(graph, a, claw)
+        claw = _nice_claw(view, view.at(a), a, w, budget)
+        return None if claw is None else view.swap(a, claw.talons)
 
     return step
 

@@ -11,11 +11,14 @@ import random
 from fractions import Fraction
 
 from ksetpack import (
+    Claw,
     ConflictGraph,
     ImprovingSet,
     Instance,
     Multigraph,
     Packing,
+    WorkBudget,
+    apply_claw,
     build_auxiliary_multigraph,
     find_dense_subgraph,
     induced_edge_count,
@@ -124,6 +127,96 @@ def brute_first_improvement(graph: ConflictGraph, a, potential, candidates, t):
             if sum(potential[u] for u in combo) > sum(potential[x] for x in removed):
                 return combo
     return None
+
+
+def reference_nice_claw(graph: ConflictGraph, a, weights=None, budget=None):
+    """`find_nice_claw` as it was before it ran on the swap engine's
+    solution-neighbour view: Fraction charges recomputed from the neighbour
+    lists, a greedy talon pass, and the depth-first search as its fallback."""
+    a = frozenset(a)
+    w = weights if weights is not None else graph.weights
+    budget = budget if budget is not None else WorkBudget()
+
+    def solution_neighbors(u):
+        return [v for v in graph.neighbors[u] if v in a]
+
+    def charge(u, v):
+        nbrs = solution_neighbors(u)
+        if not nbrs or min(nbrs, key=lambda x: (-w[x], x)) != v:
+            return Fraction(0)
+        total = sum((w[x] for x in nbrs), Fraction(0))
+        return w[u] - Fraction(1, 2) * total
+
+    for u in range(graph.vertex_count):
+        budget.spend()
+        if u not in a and not solution_neighbors(u):
+            return Claw(center=None, talons=(u,))
+
+    for v in sorted(a):
+        half = Fraction(1, 2) * w[v]
+        outside = [u for u in graph.neighbors[v] if u not in a]
+        charges = [(charge(u, v), u) for u in outside]
+        cands = [(c, u) for c, u in charges if c > 0]
+        if not cands:
+            continue
+        if sum((c for c, _ in cands), Fraction(0)) <= half:
+            continue
+        cands.sort(key=lambda cu: (-cu[0], cu[1]))
+        nbr = [frozenset(graph.neighbors[u]) for _, u in cands]
+
+        picked: list[tuple[Fraction, int]] = []
+        total = Fraction(0)
+        for i, (c, u) in enumerate(cands):
+            budget.spend()
+            if any(u in graph.neighbors[p] for _, p in picked):
+                continue
+            picked.append((c, u))
+            total += c
+            if total > half:
+                break
+        if total <= half:
+            picked = _reference_exhaustive_talons(cands, nbr, half, budget)
+        if picked is not None:
+            return Claw(center=v, talons=tuple(sorted(u for _, u in picked)))
+    return None
+
+
+def _reference_exhaustive_talons(cands, nbr, half, budget):
+    suffix = [Fraction(0)] * (len(cands) + 1)
+    for i in range(len(cands) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + cands[i][0]
+
+    chosen: list[tuple[Fraction, int]] = []
+
+    def dfs(i: int, total: Fraction):
+        if total > half:
+            return list(chosen)
+        if i == len(cands) or total + suffix[i] <= half:
+            return None
+        budget.spend()
+        c, u = cands[i]
+        if not any(p in nbr[i] for _, p in chosen):
+            chosen.append((c, u))
+            found = dfs(i + 1, total + c)
+            if found is not None:
+                return found
+            chosen.pop()
+        return dfs(i + 1, total)
+
+    return dfs(0, Fraction(0))
+
+
+def reference_nice_claw_loop(graph: ConflictGraph, a, weights=None, budget=None):
+    """The nice-claw loop on `reference_nice_claw` and the checked
+    `apply_claw`: (final solution, claws applied)."""
+    budget = budget if budget is not None else WorkBudget()
+    applied = 0
+    while True:
+        claw = reference_nice_claw(graph, a, weights, budget)
+        if claw is None:
+            return frozenset(a), applied
+        a = apply_claw(graph, a, claw)
+        applied += 1
 
 
 def exhaustive_log_improvement(instance: Instance, packing: Packing, epsilon: Fraction):

@@ -3,7 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import brute_first_improvement, random_state
+from helpers import (
+    brute_first_improvement,
+    random_state,
+    reference_nice_claw,
+    reference_nice_claw_loop,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -30,7 +35,13 @@ from ksetpack import (
     total_weight,
     wishful_thinking,
 )
-from ksetpack.weighted import _first_improvement, rescale_floor_weights
+from ksetpack import weighted
+from ksetpack.weighted import (
+    _first_improvement,
+    _nice_claw_step,
+    _search,
+    rescale_floor_weights,
+)
 
 F = Fraction
 
@@ -61,6 +72,12 @@ class TestHeaviestSolutionNeighbor:
         g = ConflictGraph.from_edges(3, [(0, 1), (0, 2)], [F(1), F(2), F(5)])
         assert heaviest_solution_neighbor(g, frozenset({1, 2}), 0, [F(1), F(9), F(5)]) == 1
 
+    @pytest.mark.parametrize("u", [-1, 3])
+    def test_rejects_vertex_out_of_range(self, u):
+        g = ConflictGraph.from_edges(3, [(0, 1), (0, 2)], [F(1), F(2), F(5)])
+        with pytest.raises(ValueError, match=f"vertex {u} out of range"):
+            heaviest_solution_neighbor(g, frozenset({1}), u)
+
 
 class TestCharge:
     def test_worked_example(self, fig_graph):
@@ -83,6 +100,12 @@ class TestCharge:
             charge(g, s, 5, 6)  # v outside the solution
         with pytest.raises(ValueError):
             charge(g, frozenset({5, 1}), 6, 1)  # not independent
+
+    @pytest.mark.parametrize("u", [-1, 3])
+    def test_rejects_vertex_out_of_range(self, u):
+        g = ConflictGraph.from_edges(3, [(0, 1), (1, 2)], [F(1), F(2), F(5)])
+        with pytest.raises(ValueError, match=f"vertex {u} out of range"):
+            charge(g, frozenset({1}), u, 1)
 
     def test_concentrates_on_heaviest_neighbor(self):
         rng = random.Random(41)
@@ -223,6 +246,14 @@ class TestFindNiceClaw:
         got = find_nice_claw(g, a)
         assert got == Claw(center=0, talons=(2, 3))
 
+    def test_many_talons(self):
+        # each leaf charges 1/2 against half of 1000, so the claw needs 1001
+        # talons, past the interpreter's default recursion limit
+        leaves = 1100
+        weights = [F(1000)] + [F(1001, 2)] * leaves
+        g = ConflictGraph.from_edges(leaves + 1, [(0, v) for v in range(1, leaves + 1)], weights)
+        assert find_nice_claw(g, frozenset({0})) == Claw(center=0, talons=tuple(range(1, 1002)))
+
     def test_budget_forwarded(self, fig_graph):
         g, s, _ = fig_graph
         with pytest.raises(CapExceededError):
@@ -324,6 +355,28 @@ class TestWishfulThinking:
         with pytest.raises(CapExceededError):
             wishful_thinking(g, 16, budget=WorkBudget(limit=10_000))
 
+    def test_claw_free_check_spends_budget_on_small_graphs(self):
+        # K4 is 2-claw-free: every neighbourhood is a triangle
+        g = ConflictGraph.from_edges(4, list(itertools.combinations(range(4), 2)))
+        checked, unchecked = WorkBudget(), WorkBudget()
+        assert wishful_thinking(g, 2, budget=checked) == frozenset({0})
+        assert wishful_thinking(g, 2, budget=unchecked, check_claw_free=False) == frozenset({0})
+        assert checked.spent > unchecked.spent
+
+    def test_one_independence_check_per_step(self, fig_graph, monkeypatch):
+        g, _, _ = fig_graph
+        real, calls = weighted._check_independent, []
+
+        def counted(graph, a):
+            calls.append(a)
+            return real(graph, a)
+
+        monkeypatch.setattr(weighted, "_check_independent", counted)
+        stats = SearchStats()
+        wishful_thinking(g, 4, stats=stats, check_claw_free=False)
+        assert stats.iterations >= 2
+        assert len(calls) == stats.iterations
+
     def test_stats_count_applied_claws(self, fig_graph):
         g, _, _ = fig_graph
         stats = SearchStats()
@@ -348,6 +401,44 @@ def swap_states(draw):
     outside = [u for u in range(n) if u not in a]
     candidates = draw(st.sets(st.sampled_from(outside))) if outside else set()
     return g, potential, frozenset(a), sorted(candidates), draw(st.integers(1, 4))
+
+
+@st.composite
+def claw_states(draw):
+    """A random weighted graph (n <= 12), an independent set A, and either
+    no weight override or one drawn with zeros, as floored weights have."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    positive = st.fractions(min_value=F(1, 3), max_value=6, max_denominator=3)
+    weights = draw(st.lists(positive, min_size=n, max_size=n))
+    g = ConflictGraph.from_edges(n, [e for e, kept in zip(pairs, keep) if kept], weights)
+    override = None
+    if draw(st.booleans()):
+        override = draw(st.lists(st.integers(0, 4).map(F), min_size=n, max_size=n))
+    a: set[int] = set()
+    for v in draw(st.permutations(range(n))):
+        if draw(st.booleans()) and not any(u in a for u in g.neighbors[v]):
+            a.add(v)
+    return g, frozenset(a), override
+
+
+class TestNiceClawMatchesReference:
+    @given(claw_states())
+    def test_find_nice_claw(self, state):
+        g, a, override = state
+        ours, theirs = WorkBudget(), WorkBudget()
+        assert find_nice_claw(g, a, override, ours) == reference_nice_claw(g, a, override, theirs)
+        assert ours.spent <= theirs.spent  # the greedy pass spent on failed centers only
+
+    @given(claw_states())
+    def test_loop_from_a_random_start(self, state):
+        g, start, override = state
+        ours, theirs = WorkBudget(limit=100_000), WorkBudget(limit=100_000)
+        stats = SearchStats()
+        got = _search(start, _nice_claw_step(g, override, ours), stats)
+        assert (got, stats.iterations) == reference_nice_claw_loop(g, start, override, theirs)
+        assert ours.spent <= theirs.spent
 
 
 class TestFirstImprovement:
