@@ -13,7 +13,9 @@ lines ignored)::
 Output is CSV with a versioned comment header.  One row per (instance,
 algorithm) in config order; failures are isolated per row via the status
 column (ok | cap_exceeded | error; an internal error's note starts with
-'internal:').  Everything is deterministic for a fixed config.
+'internal:').  An ok row carries the proven worst case of its ratio in the
+bound column where a theorem gives one, and a ratio above it is an internal
+error.  Everything is deterministic for a fixed config.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from .instance import (
     gen_random,
     packing_value,
 )
-from .local_search import log_local_search, t_local_search
+from .local_search import hs_bound, log_local_search, t_local_search
 from .relaxation import CLIQUE_CAP, relaxation_value
 from .util import (
     CapExceededError,
@@ -44,7 +46,7 @@ from .util import (
 )
 from .weighted import greedy_weighted, power_local_search, square_imp, wishful_thinking
 
-CSV_VERSION = "ksetpack-bench-csv v1"
+CSV_VERSION = "ksetpack-bench-csv v2"
 CSV_COLUMNS = [
     "family",
     "kind",
@@ -57,6 +59,7 @@ CSV_COLUMNS = [
     "value",
     "exact",
     "ratio",
+    "bound",
     "gap_standard",
     "gap_intersecting",
     "iterations",
@@ -165,6 +168,23 @@ def run_algorithm(
     )
 
 
+def _bound(instance: Instance, token: str) -> Fraction | None:
+    """The proven worst case of exact / value for `token` on `instance`, or
+    None where no theorem applies: k for greedy, Berman's (k+1)/2 for
+    wishful and squareimp, and hs_bound(k, t) for local:t (t >= 2, k >= 3)
+    when every weight is equal, so that weight is a multiple of cardinality."""
+    name, args = parse_algorithm(token)
+    k = instance.k
+    if name == "greedy":
+        return Fraction(k)
+    if name in ("wishful", "squareimp"):
+        return Fraction(k + 1, 2)
+    equal_weights = instance.weights is None or len(set(instance.weights)) == 1
+    if name == "local" and args[0] >= 2 and k >= 3 and equal_weights:
+        return hs_bound(k, args[0])
+    return None
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     name: str
@@ -200,7 +220,7 @@ def _parse_seeds(text: str, lineno: int) -> tuple[int, ...]:
         raise ParseError(f"bad seeds {text!r} (use 1..5 or 1,2,3)", lineno) from None
 
 
-def _parse_weight_range(text: str, lineno: int) -> tuple[Fraction, Fraction]:
+def _parse_weight_range(text: str, lineno: int | None) -> tuple[Fraction, Fraction]:
     parts = text.split(":")
     if len(parts) != 2:
         raise ParseError(f"bad weights {text!r} (use lo:hi)", lineno)
@@ -345,8 +365,8 @@ def _reference(
 def run_bench(config: BenchConfig) -> list[dict[str, str]]:
     """One CSV row dict per (instance, algorithm), in config order.  A failed
     instance or algorithm becomes a row status, never an exception; an
-    internal error (a failed postcondition) gets a note starting with
-    'internal:'."""
+    internal error (a failed postcondition, or a ratio above its proven
+    bound) gets a note starting with 'internal:'."""
     rows: list[dict[str, str]] = []
     for spec in config.families:
         for seed in spec.seeds:
@@ -399,8 +419,18 @@ def run_bench(config: BenchConfig) -> list[dict[str, str]]:
                     row["value"] = format_fraction(run.value)
                     row["iterations"] = str(run.iterations)
                     row["work"] = str(run.work)
+                    bound = _bound(instance, token)
+                    if bound is not None:
+                        row["bound"] = format_fraction(bound)
                     if exact is not None:
-                        row["ratio"] = format_fraction(exact.value / run.value)
+                        ratio = exact.value / run.value
+                        row["ratio"] = format_fraction(ratio)
+                        if bound is not None and ratio > bound:
+                            row["status"] = "error"
+                            row["note"] = (
+                                f"internal: ratio {row['ratio']} breaks the "
+                                f"proven bound {row['bound']}"
+                            )
                 rows.append(row)
     return rows
 

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from .bench import (
+    _parse_weight_range,
     has_internal_error,
     internal_note,
     parse_bench_config,
@@ -32,7 +33,7 @@ from .instance import (
     serialize_instance,
 )
 from .relaxation import CLIQUE_CAP, export_theta3_sdp, gap_report
-from .util import CapExceededError, DEFAULT_WORK_LIMIT, format_fraction, parse_fraction
+from .util import CapExceededError, DEFAULT_WORK_LIMIT, format_fraction
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -50,10 +51,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.kind == "random":
         weight_range = None
         if args.weights is not None:
-            parts = args.weights.split(":")
-            if len(parts) != 2:
-                raise ValueError(f"bad --weights {args.weights!r} (use lo:hi)")
-            weight_range = (parse_fraction(parts[0]), parse_fraction(parts[1]))
+            weight_range = _parse_weight_range(args.weights, None)
         instance = gen_random(args.universe, args.n, args.k, args.seed, weight_range)
     elif args.kind == "projective":
         instance = gen_projective_plane(args.q)

@@ -6,7 +6,6 @@ Elements and set indices are 0-based in memory and 1-based in files.
 """
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -165,41 +164,6 @@ def is_packing(instance: Instance, packing: Packing) -> bool:
 def packing_value(instance: Instance, packing: Packing) -> Fraction:
     """Total weight of the packing (cardinality when unweighted)."""
     return sum((instance.weight(i) for i in packing.members), Fraction(0))
-
-
-NEIGHBORHOOD_GUARD = 25
-
-
-def max_independent_in_neighborhood(graph: ConflictGraph, v: int) -> int:
-    """Size of a largest independent set inside N(v), by exhaustive search.
-
-    Guarded: refuses neighborhoods above NEIGHBORHOOD_GUARD vertices.  A graph
-    is d-claw-free iff this never reaches d for any vertex.
-    """
-    nbrs = graph.neighbors[v]
-    if len(nbrs) > NEIGHBORHOOD_GUARD:
-        raise ValueError(
-            f"neighborhood of {v} has {len(nbrs)} vertices, guard is {NEIGHBORHOOD_GUARD}"
-        )
-    index = {u: i for i, u in enumerate(nbrs)}
-    masks = [0] * len(nbrs)
-    for i, u in enumerate(nbrs):
-        for w in graph.neighbors[u]:
-            j = index.get(w)
-            if j is not None:
-                masks[i] |= 1 << j
-
-    @functools.lru_cache(maxsize=None)
-    def best(candidates: int) -> int:
-        if candidates == 0:
-            return 0
-        i = (candidates & -candidates).bit_length() - 1
-        rest = candidates & ~(1 << i)
-        with_i = 1 + best(rest & ~masks[i])
-        without_i = best(rest)
-        return max(with_i, without_i)
-
-    return best((1 << len(nbrs)) - 1)
 
 
 def gen_projective_plane(q: int) -> Instance:

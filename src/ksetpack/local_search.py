@@ -255,16 +255,21 @@ def log_local_search(
     stats: SearchStats | None = None,
 ) -> Packing:
     """Interleave plain 2-swaps with the logarithmic-size multigraph search:
-    keep the packing 2-locally optimal, then hunt for one larger improving
-    set; stop when both come up empty.  Terminates because every applied
+    each step applies the first 2-swap, or when the packing is 2-locally
+    optimal, one larger improving set; stop when both come up empty.  One
+    conflict graph serves the whole run.  Terminates because every applied
     swap strictly grows the packing."""
     budget = budget if budget is not None else WorkBudget()
-    packing = t_local_search(instance, 2, budget, stats)
-    while True:
+    two_swap = _unit_swap_step(instance, Packing(members=()), 2, budget)
+
+    def step(a: frozenset[int]) -> frozenset[int] | None:
+        after = two_swap(a)
+        if after is not None:
+            return after
+        packing = Packing(members=tuple(sorted(a)))
         imp = log_improvement_search(instance, packing, epsilon, budget)
         if imp is None:
-            return packing
-        packing = apply_improving_set(instance, packing, imp)
-        if stats is not None:
-            stats.iterations += 1
-        packing = t_local_search(instance, 2, budget, stats, start=packing)
+            return None
+        return frozenset(apply_improving_set(instance, packing, imp).members)
+
+    return Packing(members=tuple(sorted(_search(frozenset(), step, stats))))

@@ -1,16 +1,25 @@
 import csv
 import io
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ksetpack import gen_projective_plane, parse_instance, parse_sdpa, serialize_instance
+from ksetpack import (
+    Packing,
+    gen_projective_plane,
+    parse_instance,
+    parse_sdpa,
+    serialize_instance,
+)
 from ksetpack.bench import (
     CSV_COLUMNS,
     CSV_VERSION,
     BenchConfig,
     FamilySpec,
+    has_internal_error,
     parse_algorithm,
     parse_bench_config,
     render_csv,
@@ -101,7 +110,7 @@ class TestRunAlgorithm:
     def test_wishful_on_dense_instance_skips_the_claw_search(self):
         from ksetpack import gen_random, is_packing, Packing
 
-        # degrees far above the guard; the exhaustive claw-free check alone
+        # degrees in the hundreds; the exhaustive claw-free check alone
         # spends more than this budget
         instance = gen_random(20, 200, 3, 1)
         run = run_algorithm(instance, "wishful", work_limit=100_000)
@@ -287,6 +296,33 @@ class TestRunBench:
         assert all(r["status"] == "ok" for r in rows)
         for row in rows:
             assert F(row["ratio"]) >= 1
+
+    # Hurkens-Schrijver's bound at the (k, t) below, from its closed form
+    HS = {(3, 2): F(2), (3, 3): F(9, 5), (4, 2): F(5, 2), (4, 3): F(16, 7)}
+
+    def test_bound_column_follows_the_theorems(self):
+        config = parse_bench_config(
+            "family u3 random universe=12 n=12 k=3 seeds=1..3\n"
+            "family w3 random universe=12 n=12 k=3 seeds=1..3 weights=1:5\n"
+            "family u4 random universe=14 n=12 k=4 seeds=1..3\n"
+            "family w4 random universe=14 n=12 k=4 seeds=1..3 weights=1:5\n"
+            "algorithms exact greedy local:1 local:2 local:3 loglocal:1 wishful "
+            "squareimp power:2:2\n"
+        )
+        rows = run_bench(config)
+        assert len(rows) == 4 * 3 * 9
+        assert all(row["status"] == "ok" for row in rows)
+        for row in rows:
+            k = int(row["k"])
+            name, _, t = row["algorithm"].partition(":")
+            want = {"greedy": F(k), "wishful": F(k + 1, 2), "squareimp": F(k + 1, 2)}
+            bound = want.get(name)
+            if name == "local" and int(t) >= 2 and row["family"].startswith("u"):
+                bound = self.HS[k, int(t)]
+            got = F(row["bound"]) if "bound" in row else None
+            assert got == bound, (row["family"], row["algorithm"])
+            if bound is not None:
+                assert 1 <= F(row["ratio"]) <= bound
 
 
 class TestRenderCsv:
@@ -499,6 +535,41 @@ class TestCli:
         config.write_text("algorithms greedy\n")
         assert main(["bench", str(config)]) == 2
 
+    @pytest.mark.parametrize(
+        "token, target, poor",
+        [
+            ("local:2", "t_local_search", lambda *args: Packing(members=(0,))),
+            ("greedy", "greedy_weighted", lambda *args: frozenset({0})),
+        ],
+        ids=["local:2", "greedy"],
+    )
+    def test_bench_ratio_above_bound_exits_2(
+        self, tmp_path, monkeypatch, token, target, poor
+    ):
+        import ksetpack.bench
+
+        monkeypatch.setattr(ksetpack.bench, target, poor)
+        config = tmp_path / "bench.cfg"
+        # unit weights and an optimum of 4 sets, against a packing of one
+        config.write_text(
+            f"family u random universe=15 n=18 k=3 seeds=0\nalgorithms {token}\n"
+        )
+        out = tmp_path / "rows.csv"
+        assert main(["bench", str(config), "--out", str(out)]) == 2
+        (row,) = csv.DictReader(out.read_text().splitlines()[1:])
+        assert row["status"] == "error" and row["note"].startswith("internal:")
+        assert (row["value"], row["exact"], row["ratio"]) == ("1", "4", "4")
+        assert row["bound"] == {"local:2": "2", "greedy": "3"}[token]
+
+    @pytest.mark.parametrize("weights", ["5", "1:2:3", "5:1", "0:1", "x:1"])
+    def test_generate_rejects_bad_weights(self, tmp_path, capsys, weights):
+        args = [
+            "generate", "random", "--universe", "10", "--n", "8", "--k", "3",
+            "--seed", "5", "--weights", weights, "--out", str(tmp_path / "w.sp"),
+        ]
+        assert main(args) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_bench_internal_error_exits_2(self, tmp_path, monkeypatch):
         import ksetpack.relaxation
 
@@ -518,3 +589,13 @@ class TestCli:
         assert [r["status"] for r in rows] == ["ok", "error"]
         config.write_text("family fano projective q=2\nalgorithms greedy\n")
         assert main(["bench", str(config), "--out", str(out)]) == 0
+
+
+def test_readme_bench_configs_run_without_internal_errors():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme.read_text(), re.S | re.M)
+    configs = [block for block in blocks if re.search(r"^family ", block, re.M)]
+    assert len(configs) >= 3
+    for text in configs:
+        rows = run_bench(parse_bench_config(text))
+        assert rows and not has_internal_error(rows)

@@ -10,21 +10,21 @@ from hypothesis import strategies as st
 from ksetpack import (
     ConflictGraph,
     Instance,
-    NEIGHBORHOOD_GUARD,
     Packing,
     ParseError,
+    WorkBudget,
     conflict_graph,
     gen_projective_plane,
     gen_random,
     instance_from_graph,
     is_packing,
-    max_independent_in_neighborhood,
     packing_value,
     parse_graph,
     parse_instance,
     serialize_instance,
     validate,
 )
+from ksetpack.weighted import _assert_claw_free
 
 
 def inst(universe=6, sets=((0, 1), (2, 3)), k=2, weights=None):
@@ -209,36 +209,41 @@ class TestPackingPredicates:
 
 
 class TestNeighborhoodOracle:
+    """The claw-free check: some neighbourhood holds `bound` independent
+    vertices exactly when the check fails at `bound`."""
+
+    @staticmethod
+    def claw_free(g, bound):
+        try:
+            _assert_claw_free(g, bound, WorkBudget())
+        except ValueError:
+            return False
+        return True
+
     def test_star_center(self):
         g = ConflictGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        assert max_independent_in_neighborhood(g, 0) == 3
-        assert max_independent_in_neighborhood(g, 1) == 1
+        assert not self.claw_free(g, 3)
+        assert self.claw_free(g, 4)
 
     def test_triangle(self):
         g = ConflictGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-        assert all(max_independent_in_neighborhood(g, v) == 1 for v in range(3))
+        assert self.claw_free(g, 2)
 
     def test_isolated_vertex(self):
         g = ConflictGraph.from_edges(1, [])
-        assert max_independent_in_neighborhood(g, 0) == 0
+        assert self.claw_free(g, 1)
 
     def test_paw_neighborhood(self):
         # center 0 sees a triangle edge (1,2) plus a pendant vertex 3
         g = ConflictGraph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
-        assert max_independent_in_neighborhood(g, 0) == 2
-
-    def test_guard(self):
-        big = NEIGHBORHOOD_GUARD + 1
-        g = ConflictGraph.from_edges(big + 1, [(0, v) for v in range(1, big + 1)])
-        with pytest.raises(ValueError):
-            max_independent_in_neighborhood(g, 0)
+        assert not self.claw_free(g, 2)
+        assert self.claw_free(g, 3)
 
     def test_conflict_graph_of_instance_is_claw_bounded(self):
         # k-set instances are (k+1)-claw-free: neighborhoods hold at most k
         # pairwise-disjoint conflicting sets
-        got = gen_random(12, 14, 3, seed=9)
-        g = conflict_graph(got)
-        assert all(max_independent_in_neighborhood(g, v) <= 3 for v in range(got.n))
+        g = conflict_graph(gen_random(12, 14, 3, seed=9))
+        _assert_claw_free(g, 4, WorkBudget())
 
 
 class TestInstanceFromGraph:

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from ksetpack import (
     CapExceededError,
     Claw,
-    NEIGHBORHOOD_GUARD,
     ConflictGraph,
     SearchStats,
     WorkBudget,
@@ -322,7 +321,7 @@ class TestWishfulThinking:
         assert wishful_thinking(star, 5) == frozenset({1, 2, 3, 4})
         assert wishful_thinking(star, 4, check_claw_free=False) is not None
 
-    @pytest.mark.parametrize("leaves", [10, NEIGHBORHOOD_GUARD + 5])
+    @pytest.mark.parametrize("leaves", [10, 30])
     def test_claw_free_check_on_stars_either_side_of_guard(self, leaves):
         edges = [(0, v) for v in range(1, leaves + 1)]
         star = ConflictGraph.from_edges(leaves + 1, edges)
@@ -332,14 +331,14 @@ class TestWishfulThinking:
     def test_claw_free_check_above_guard_accepts_plane(self):
         plane = gen_projective_plane(5)  # complete conflict graph, degree 30
         g = conflict_graph(plane)
-        assert min(g.degree(v) for v in range(g.vertex_count)) > NEIGHBORHOOD_GUARD
+        assert min(g.degree(v) for v in range(g.vertex_count)) > 25
         checked, unchecked = WorkBudget(), WorkBudget()
         assert len(wishful_thinking(g, plane.k + 1, budget=checked)) == 1
         wishful_thinking(g, plane.k + 1, budget=unchecked, check_claw_free=False)
         assert checked.spent > unchecked.spent  # the check spends the caller's budget
 
     def test_claw_free_check_above_guard_prunes_unreachable_sizes(self):
-        leaves = NEIGHBORHOOD_GUARD + 5
+        leaves = 30
         edges = [(0, v) for v in range(1, leaves + 1)]
         star = ConflictGraph.from_edges(leaves + 1, edges)
         budget = WorkBudget(limit=100_000)  # the unpruned check walks 2^30 subsets
