@@ -1,20 +1,27 @@
 """Exact rational linear programming: a small two-phase primal simplex.
 
-Maximization LPs with sparse <=/= rows and per-variable bounds, solved in
-Fraction arithmetic with Bland's anti-cycling rule, so optima are exact and
-ties deterministic.  Solutions carry dual values, and certify_optimal checks
-feasibility plus strong duality, which proves optimality independently of
-how the solver got there.  Desk scale: one list per tableau row, no
-factorization.  Pivots are sparse: a pivot touches only the nonzero columns
-of the pivot row, in the rows with a nonzero in the entering column.  The
-skipped entries would change by zero, so the pivot path and every result
-are those of the dense method.
+Maximization LPs with sparse <=/= rows and per-variable bounds, solved
+exactly with Bland's anti-cycling rule, so optima are exact and ties
+deterministic.  Solutions carry Fraction values and dual values, and
+certify_optimal checks feasibility plus strong duality in Fraction
+arithmetic, which proves optimality independently of how the solver got
+there.  Desk scale: one list per tableau row, no factorization.
+
+The tableau is kept in Python ints over one common denominator d
+(integer-preserving elimination: Edmonds 1967, Bareiss 1968).  Each row is
+scaled by the positive lcm L_i of its denominators and the costs by theirs,
+which scales the true tableau's rows and columns by positive factors only.
+So every sign that Bland's rule reads and every ratio-test comparison are
+those of the Fraction tableau, and the pivot path is the same.  After a
+pivot d = |det B| for the basis B, so every update divides exactly.  Values,
+objective and duals are read off as Fraction(entry, d) with the scalings
+undone.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .util import format_fraction
 
@@ -74,56 +81,56 @@ def check_lp(lp: LinearProgram) -> None:
             seen.add(var)
 
 
-def _pivot(rows, rhs, obj, obj_rhs, basis, r, e):
-    """Pivot on (r, e) in place, over the pivot row's nonzero columns only."""
+def _pivot(rows, obj, basis, d, r, e):
+    """Integer-preserving pivot on (r, e) in place; returns the new common
+    denominator p.  Row r stays as it is, negated first when its pivot is
+    negative so that the denominator stays positive.  Every other row, the
+    objective included, becomes (p·row − row[e]·prow) / d, which divides
+    exactly: with row[e] = 0 that is the rescale p·row / d, and with p = d
+    only the nonzero columns of the pivot row change."""
     prow = rows[r]
-    inv = Fraction(1) / prow[e]
-    nz = [j for j, x in enumerate(prow) if x]
-    for j in nz:
-        prow[j] *= inv
-    rhs[r] *= inv
-    b = rhs[r]
-    for i, row in enumerate(rows):
+    p = prow[e]
+    if p < 0:
+        p = -p
+        prow[:] = [-y for y in prow]
+    nz = [(j, y) for j, y in enumerate(prow) if y]
+    for row in rows + [obj]:
         f = row[e]
-        if f and i != r:
-            for j in nz:
-                row[j] -= f * prow[j]
-            rhs[i] -= f * b
-    f = obj[e]
-    if f:
-        for j in nz:
-            obj[j] -= f * prow[j]
-        obj_rhs -= f * b
+        if row is prow or (p == d and not f):
+            continue
+        if p == d:
+            for j, y in nz:
+                row[j] -= f * y // d
+        elif f:
+            row[:] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+        else:
+            row[:] = [p * x // d for x in row]
     basis[r] = e
-    return obj_rhs
+    return p
 
 
-def _run_simplex(rows, rhs, obj, obj_rhs, basis, allowed):
-    """Bland's rule: entering = lowest allowed column with negative reduced
-    cost; leaving = smallest ratio, ties to the lowest basis index.
-    Returns (status, obj_rhs)."""
+def _run_simplex(rows, obj, basis, d, width):
+    """Bland's rule over the first `width` columns: entering = lowest column
+    with negative reduced cost; leaving = smallest ratio rhs/entry over the
+    positive entries (compared cross-multiplied), ties to the lowest basis
+    index.  Returns (status, d)."""
     while True:
-        enter = None
-        for j in range(len(obj)):
-            if allowed[j] and obj[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(width) if obj[j] < 0), None)
         if enter is None:
-            return "optimal", obj_rhs
+            return "optimal", d
         leave = None
-        best = None
         for i, row in enumerate(rows):
             a = row[enter]
             if a > 0:
-                ratio = rhs[i] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
-                    leave = i
+                if leave is None:
+                    leave, num, den = i, row[-1], a
+                    continue
+                lhs, rhs = row[-1] * den, num * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, num, den = i, row[-1], a
         if leave is None:
-            return "unbounded", obj_rhs
-        obj_rhs = _pivot(rows, rhs, obj, obj_rhs, basis, leave, enter)
+            return "unbounded", d
+        d = _pivot(rows, obj, basis, d, leave, enter)
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -136,142 +143,101 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     shift_const = sum(
         (lp.objective[j] * lp.lower[j] for j in range(n)), Fraction(0)
     )
-    internal: list[tuple[list[Fraction], str, Fraction, str, int]] = []
-    for ci, c in enumerate(lp.constraints):
-        dense = [Fraction(0)] * n
-        adjust = Fraction(0)
-        for var, coef in c.coeffs:
-            dense[var] = Fraction(coef)
-            adjust += coef * lp.lower[var]
-        internal.append((dense, c.relation, Fraction(c.rhs) - adjust, "row", ci))
-    for j in range(n):
-        if lp.upper[j] is not None:
-            dense = [Fraction(0)] * n
-            dense[j] = Fraction(1)
-            internal.append((dense, LEQ, lp.upper[j] - lp.lower[j], "bound", j))
-
-    m = len(internal)
-    # normalize rhs signs; remember flips for dual recovery
-    sign = [1] * m
-    rels = []
-    for i, (dense, rel, b, kind, ref) in enumerate(internal):
-        if b < 0:
-            dense = [-x for x in dense]
-            b = -b
-            sign[i] = -1
-            rel = {LEQ: ">=", EQ: EQ}[rel]
-        internal[i] = (dense, rel, b, kind, ref)
-        rels.append(rel)
-
-    n_slack = sum(1 for r in rels if r in (LEQ, ">="))
-    n_art = sum(1 for r in rels if r in (">=", EQ))
-    ncols = n + n_slack + n_art
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    basis: list[int] = []
-    is_artificial = [False] * ncols
-    unit_col = [0] * m  # the column whose tableau entry reads off row i's dual
-    unit_sign = [1] * m
-
-    si = n
-    ai = n + n_slack
-    for i, (dense, rel, b, kind, ref) in enumerate(internal):
-        row = dense + [Fraction(0)] * (n_slack + n_art)
-        if rel == LEQ:
-            row[si] = Fraction(1)
-            basis.append(si)
-            unit_col[i], unit_sign[i] = si, 1
-            si += 1
-        elif rel == ">=":
-            row[si] = Fraction(-1)
-            unit_col[i], unit_sign[i] = si, -1
-            si += 1
-            row[ai] = Fraction(1)
-            basis.append(ai)
-            is_artificial[ai] = True
-            ai += 1
-        else:
-            row[ai] = Fraction(1)
-            basis.append(ai)
-            is_artificial[ai] = True
-            unit_col[i], unit_sign[i] = ai, 1
-            ai += 1
-        rows.append(row)
-        rhs.append(b)
-
-    live = [True] * m  # rows can be dropped as redundant after phase 1
-
-    def build_obj(costs: list[Fraction]) -> tuple[list[Fraction], Fraction]:
-        obj = [-c for c in costs]
-        obj_rhs = Fraction(0)
-        for row, b, col in zip(rows, rhs, basis):
-            cb = costs[col]
-            if cb:
-                for j, x in enumerate(row):
-                    if x:
-                        obj[j] += cb * x
-                obj_rhs += cb * b
-        return obj, obj_rhs
-
-    if n_art:
-        costs1 = [Fraction(0)] * ncols
-        for j in range(ncols):
-            if is_artificial[j]:
-                costs1[j] = Fraction(-1)
-        obj, obj_rhs = build_obj(costs1)
-        status, obj_rhs = _run_simplex(
-            rows, rhs, obj, obj_rhs, basis, [True] * ncols
+    internal = [
+        (
+            c.coeffs,
+            c.relation,
+            Fraction(c.rhs) - sum((a * lp.lower[v] for v, a in c.coeffs), Fraction(0)),
         )
-        assert status == "optimal"  # phase 1 is always bounded
-        if obj_rhs != 0:
-            return LpSolution(status="infeasible")
-        for i in range(len(rows)):
-            if is_artificial[basis[i]]:
-                enter = next(
-                    (
-                        j
-                        for j in range(ncols)
-                        if not is_artificial[j] and rows[i][j] != 0
-                    ),
-                    None,
-                )
-                if enter is None:
-                    live[i] = False  # redundant row; keep inert
-                else:
-                    _pivot(rows, rhs, obj, Fraction(0), basis, i, enter)
-
-    costs2 = [Fraction(0)] * ncols
-    for j in range(n):
-        costs2[j] = Fraction(lp.objective[j])
-    obj, obj_rhs = build_obj(costs2)
-    allowed = [
-        not is_artificial[j] for j in range(ncols)
+        for c in lp.constraints
     ]
-    status, obj_rhs = _run_simplex(rows, rhs, obj, obj_rhs, basis, allowed)
+    bounded = [j for j in range(n) if lp.upper[j] is not None]
+    internal += [(((j, 1),), LEQ, lp.upper[j] - lp.lower[j]) for j in bounded]
+
+    # row i is scaled by the lcm L_i of its denominators, negated when its
+    # rhs is negative (a <= row then becomes >=: slack -1 and an artificial)
+    scales = [
+        (-1 if b < 0 else 1) * math.lcm(b.denominator, *(a.denominator for _, a in co))
+        for co, _, b in internal
+    ]
+    n_slack = sum(rel == LEQ for _, rel, _ in internal)
+    n_art = sum(rel == EQ or s < 0 for (_, rel, _), s in zip(internal, scales))
+    width = n + n_slack  # artificials are the last columns
+    ncols = width + n_art
+    rows: list[list[int]] = []  # integer entries, rhs last, over the denominator d
+    basis: list[int] = []
+    unit_col = []  # the column whose reduced cost reads off row i's dual
+    back = []  # unit entry · ±L_i: turns that reduced cost into row i's dual
+    art_scale = {}  # artificial column -> L_i of its row
+    si, ai = n, width
+    for (coeffs, rel, b), s in zip(internal, scales):
+        row = [0] * (ncols + 1)
+        for v, a in coeffs:
+            row[v] = s // a.denominator * a.numerator
+        row[-1] = s // b.denominator * b.numerator
+        artificial = rel == EQ or s < 0
+        unit = si if rel == LEQ else ai
+        basis.append(ai if artificial else si)
+        if rel == LEQ:
+            row[si] = 1 if s > 0 else -1
+            si += 1
+        if artificial:
+            row[ai] = 1
+            art_scale[ai] = abs(s)
+            ai += 1
+        unit_col.append(unit)
+        back.append(row[unit] * s)
+        rows.append(row)
+
+    def objective_row(costs: dict[int, int], d: int) -> list[int]:
+        obj = [0] * (ncols + 1)
+        for j, c in costs.items():
+            obj[j] = -d * c
+        for row, col in zip(rows, basis):
+            cb = costs.get(col)
+            if cb:
+                obj = [o + cb * x for o, x in zip(obj, row)]
+        return obj
+
+    d = 1
+    if n_art:
+        # phase 1 minimizes the sum of the artificials of the unscaled rows:
+        # row i's artificial is L_i times that one, so it costs 1/L_i
+        l1 = math.lcm(*art_scale.values())
+        obj = objective_row({j: -(l1 // s) for j, s in art_scale.items()}, d)
+        status, d = _run_simplex(rows, obj, basis, d, ncols)
+        assert status == "optimal"  # phase 1 is always bounded
+        if obj[-1] != 0:
+            return LpSolution(status="infeasible")
+        for i, row in enumerate(rows):
+            if basis[i] >= width:
+                enter = next((j for j in range(width) if row[j]), None)
+                if enter is not None:  # else the row is redundant; keep inert
+                    d = _pivot(rows, obj, basis, d, i, enter)
+
+    lc = math.lcm(*(c.denominator for c in lp.objective))
+    costs = {j: lc // c.denominator * c.numerator for j, c in enumerate(lp.objective)}
+    obj = objective_row(costs, d)
+    status, d = _run_simplex(rows, obj, basis, d, width)
     if status == "unbounded":
         return LpSolution(status="unbounded")
 
-    y = [Fraction(0)] * ncols
-    for i in range(len(rows)):
-        if live[i] or not is_artificial[basis[i]]:
-            y[basis[i]] = rhs[i]
+    y = [Fraction(0)] * n
+    for row, col in zip(rows, basis):
+        if col < n:
+            y[col] = Fraction(row[-1], d)
     values = tuple(lp.lower[j] + y[j] for j in range(n))
-
-    duals = [Fraction(0)] * len(lp.constraints)
+    row_duals = [Fraction(obj[u] * k, d * lc) for u, k in zip(unit_col, back)]
+    m = len(lp.constraints)
     bound_duals = [Fraction(0)] * n
-    # map internal rows back to their input objects
-    for i, (dense, rel, b, kind, ref) in enumerate(internal):
-        d = obj[unit_col[i]] * unit_sign[i] * sign[i]
-        if kind == "row":
-            duals[ref] = d
-        else:
-            bound_duals[ref] = d
+    for j, dual in zip(bounded, row_duals[m:]):
+        bound_duals[j] = dual
 
     solution = LpSolution(
         status="optimal",
         values=values,
-        objective_value=obj_rhs + shift_const,
-        duals=tuple(duals),
+        objective_value=Fraction(obj[-1], d * lc) + shift_const,
+        duals=tuple(row_duals[:m]),
         bound_duals=tuple(bound_duals),
     )
     problem = certify_optimal(lp, solution)

@@ -24,6 +24,7 @@ from ksetpack import (
     induced_edge_count,
     is_packing,
 )
+from ksetpack.lp import EQ, LEQ, LinearProgram, LpSolution, certify_optimal, check_lp
 
 
 def brute_max_weight_independent(
@@ -367,3 +368,212 @@ def brute_lp_optimum(lp) -> tuple[str, Fraction | None]:
     if best is None:
         return "infeasible", None
     return "optimal", best
+
+
+# The same two-phase simplex on a Fraction tableau, with one division per
+# pivot row: the reference that solve_lp, on its integer tableau, must match
+# field for field.
+def _reference_pivot(rows, rhs, obj, obj_rhs, basis, r, e):
+    """Pivot on (r, e) in place, over the pivot row's nonzero columns only."""
+    prow = rows[r]
+    inv = Fraction(1) / prow[e]
+    nz = [j for j, x in enumerate(prow) if x]
+    for j in nz:
+        prow[j] *= inv
+    rhs[r] *= inv
+    b = rhs[r]
+    for i, row in enumerate(rows):
+        f = row[e]
+        if f and i != r:
+            for j in nz:
+                row[j] -= f * prow[j]
+            rhs[i] -= f * b
+    f = obj[e]
+    if f:
+        for j in nz:
+            obj[j] -= f * prow[j]
+        obj_rhs -= f * b
+    basis[r] = e
+    return obj_rhs
+
+
+def _reference_run_simplex(rows, rhs, obj, obj_rhs, basis, allowed):
+    """Bland's rule: entering = lowest allowed column with negative reduced
+    cost; leaving = smallest ratio, ties to the lowest basis index.
+    Returns (status, obj_rhs)."""
+    while True:
+        enter = None
+        for j in range(len(obj)):
+            if allowed[j] and obj[j] < 0:
+                enter = j
+                break
+        if enter is None:
+            return "optimal", obj_rhs
+        leave = None
+        best = None
+        for i, row in enumerate(rows):
+            a = row[enter]
+            if a > 0:
+                ratio = rhs[i] / a
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            return "unbounded", obj_rhs
+        obj_rhs = _reference_pivot(rows, rhs, obj, obj_rhs, basis, leave, enter)
+
+
+def reference_solve_lp(lp: LinearProgram) -> LpSolution:
+    """Two-phase primal simplex.  The returned optimum is certified inside
+    this function by exact feasibility and strong duality."""
+    check_lp(lp)
+    n = lp.num_vars
+
+    # shift to y = x - lower >= 0 and materialize upper bounds as rows
+    shift_const = sum(
+        (lp.objective[j] * lp.lower[j] for j in range(n)), Fraction(0)
+    )
+    internal: list[tuple[list[Fraction], str, Fraction, str, int]] = []
+    for ci, c in enumerate(lp.constraints):
+        dense = [Fraction(0)] * n
+        adjust = Fraction(0)
+        for var, coef in c.coeffs:
+            dense[var] = Fraction(coef)
+            adjust += coef * lp.lower[var]
+        internal.append((dense, c.relation, Fraction(c.rhs) - adjust, "row", ci))
+    for j in range(n):
+        if lp.upper[j] is not None:
+            dense = [Fraction(0)] * n
+            dense[j] = Fraction(1)
+            internal.append((dense, LEQ, lp.upper[j] - lp.lower[j], "bound", j))
+
+    m = len(internal)
+    # normalize rhs signs; remember flips for dual recovery
+    sign = [1] * m
+    rels = []
+    for i, (dense, rel, b, kind, ref) in enumerate(internal):
+        if b < 0:
+            dense = [-x for x in dense]
+            b = -b
+            sign[i] = -1
+            rel = {LEQ: ">=", EQ: EQ}[rel]
+        internal[i] = (dense, rel, b, kind, ref)
+        rels.append(rel)
+
+    n_slack = sum(1 for r in rels if r in (LEQ, ">="))
+    n_art = sum(1 for r in rels if r in (">=", EQ))
+    ncols = n + n_slack + n_art
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    basis: list[int] = []
+    is_artificial = [False] * ncols
+    unit_col = [0] * m  # the column whose tableau entry reads off row i's dual
+    unit_sign = [1] * m
+
+    si = n
+    ai = n + n_slack
+    for i, (dense, rel, b, kind, ref) in enumerate(internal):
+        row = dense + [Fraction(0)] * (n_slack + n_art)
+        if rel == LEQ:
+            row[si] = Fraction(1)
+            basis.append(si)
+            unit_col[i], unit_sign[i] = si, 1
+            si += 1
+        elif rel == ">=":
+            row[si] = Fraction(-1)
+            unit_col[i], unit_sign[i] = si, -1
+            si += 1
+            row[ai] = Fraction(1)
+            basis.append(ai)
+            is_artificial[ai] = True
+            ai += 1
+        else:
+            row[ai] = Fraction(1)
+            basis.append(ai)
+            is_artificial[ai] = True
+            unit_col[i], unit_sign[i] = ai, 1
+            ai += 1
+        rows.append(row)
+        rhs.append(b)
+
+    live = [True] * m  # rows can be dropped as redundant after phase 1
+
+    def build_obj(costs: list[Fraction]) -> tuple[list[Fraction], Fraction]:
+        obj = [-c for c in costs]
+        obj_rhs = Fraction(0)
+        for row, b, col in zip(rows, rhs, basis):
+            cb = costs[col]
+            if cb:
+                for j, x in enumerate(row):
+                    if x:
+                        obj[j] += cb * x
+                obj_rhs += cb * b
+        return obj, obj_rhs
+
+    if n_art:
+        costs1 = [Fraction(0)] * ncols
+        for j in range(ncols):
+            if is_artificial[j]:
+                costs1[j] = Fraction(-1)
+        obj, obj_rhs = build_obj(costs1)
+        status, obj_rhs = _reference_run_simplex(
+            rows, rhs, obj, obj_rhs, basis, [True] * ncols
+        )
+        assert status == "optimal"  # phase 1 is always bounded
+        if obj_rhs != 0:
+            return LpSolution(status="infeasible")
+        for i in range(len(rows)):
+            if is_artificial[basis[i]]:
+                enter = next(
+                    (
+                        j
+                        for j in range(ncols)
+                        if not is_artificial[j] and rows[i][j] != 0
+                    ),
+                    None,
+                )
+                if enter is None:
+                    live[i] = False  # redundant row; keep inert
+                else:
+                    _reference_pivot(rows, rhs, obj, Fraction(0), basis, i, enter)
+
+    costs2 = [Fraction(0)] * ncols
+    for j in range(n):
+        costs2[j] = Fraction(lp.objective[j])
+    obj, obj_rhs = build_obj(costs2)
+    allowed = [
+        not is_artificial[j] for j in range(ncols)
+    ]
+    status, obj_rhs = _reference_run_simplex(rows, rhs, obj, obj_rhs, basis, allowed)
+    if status == "unbounded":
+        return LpSolution(status="unbounded")
+
+    y = [Fraction(0)] * ncols
+    for i in range(len(rows)):
+        if live[i] or not is_artificial[basis[i]]:
+            y[basis[i]] = rhs[i]
+    values = tuple(lp.lower[j] + y[j] for j in range(n))
+
+    duals = [Fraction(0)] * len(lp.constraints)
+    bound_duals = [Fraction(0)] * n
+    # map internal rows back to their input objects
+    for i, (dense, rel, b, kind, ref) in enumerate(internal):
+        d = obj[unit_col[i]] * unit_sign[i] * sign[i]
+        if kind == "row":
+            duals[ref] = d
+        else:
+            bound_duals[ref] = d
+
+    solution = LpSolution(
+        status="optimal",
+        values=values,
+        objective_value=obj_rhs + shift_const,
+        duals=tuple(duals),
+        bound_duals=tuple(bound_duals),
+    )
+    problem = certify_optimal(lp, solution)
+    if problem is not None:
+        raise RuntimeError(f"internal: optimum failed certification: {problem}")
+    return solution

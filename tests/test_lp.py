@@ -3,13 +3,20 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import brute_lp_optimum
+from helpers import brute_lp_optimum, reference_solve_lp
+from hypothesis import given
+from hypothesis import strategies as st
 
+import ksetpack.lp
 from ksetpack import (
     Constraint,
     LinearProgram,
     LpSolution,
+    build_intersecting_family_lp,
+    build_standard_lp,
     certify_optimal,
+    gen_projective_plane,
+    gen_random,
     serialize_lp,
     solve_lp,
 )
@@ -186,6 +193,88 @@ class TestAgainstVertexEnumeration:
         assert statuses == {"optimal", "infeasible"}
 
 
+fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
+
+
+@st.composite
+def general_lps(draw):
+    """Up to 10 variables and 10 rows with denominators up to 7.  Most rows
+    hold at a drawn point x0, often with equality, so that many LPs are
+    feasible and degenerate.  Copies of `=` rows, scaled and possibly
+    negated, make redundant rows, which phase 1 leaves with an artificial in
+    the basis; degenerate `=` rows make clean-up pivots on negative entries."""
+    n = draw(st.integers(1, 10))
+    bounds = st.sampled_from((F(0), F(0), F(-1), F(-2), F(-1, 2), F(1, 3)))
+    lower = [draw(bounds) for _ in range(n)]
+    gaps = [abs(draw(fractions)) for _ in range(n)]
+    upper = [
+        None if draw(st.booleans()) and draw(st.booleans()) else lo + gap
+        for lo, gap in zip(lower, gaps)
+    ]
+    x0 = [lo + draw(st.sampled_from((0, 0, F(1, 2), 1))) * gap for lo, gap in zip(lower, gaps)]
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        coeffs = tuple((j, draw(fractions)) for j in sorted(support))
+        rel = draw(st.sampled_from((LEQ, LEQ, EQ)))
+        rhs = sum(a * x0[j] for j, a in coeffs)
+        if rel == LEQ:
+            rhs += draw(st.sampled_from((0, 0, 1, F(1, 3))))
+        if draw(st.integers(0, 7)) == 0:
+            rhs = draw(fractions)  # x0 no longer holds: some LPs are infeasible
+        rows.append((coeffs, rel, rhs))
+    equalities = [row for row in rows if row[1] == EQ]
+    if equalities:
+        for _ in range(draw(st.integers(0, 10 - len(rows)))):
+            coeffs, _, rhs = draw(st.sampled_from(equalities))
+            t = draw(st.sampled_from((F(1), F(-1), F(2), F(-1, 3), F(3, 2))))
+            rows.append((tuple((j, t * a) for j, a in coeffs), EQ, t * rhs))
+    return LinearProgram(
+        num_vars=n,
+        objective=[draw(fractions) for _ in range(n)],
+        constraints=[
+            Constraint(coeffs, rel, F(rhs), f"r{i}")
+            for i, (coeffs, rel, rhs) in enumerate(rows)
+        ],
+        lower=lower,
+        upper=upper,
+    )
+
+
+def assert_same_solution(lp):
+    sol, want = solve_lp(lp), reference_solve_lp(lp)
+    assert sol == want
+    assert repr(sol) == repr(want)  # the same types too: Fraction, not int
+
+
+class TestAgainstFractionSimplex:
+    """The integer tableau must reproduce the Fraction simplex exactly: the
+    same status, vertex, objective, duals and bound duals."""
+
+    @given(general_lps())
+    def test_general_lps(self, lp):
+        assert_same_solution(lp)
+
+    def test_phase_one_costs_undo_the_row_scaling(self):
+        # the integer tableau scales the second row by 3, and so its
+        # artificial; with equal phase-1 costs on both artificials, phase 1
+        # would take another path on this degenerate LP and end at other duals
+        lp = lp_of(2, [0, 1], [([1, 1], EQ, 0), ([F(-1, 3), F(-1, 3)], EQ, 0)], upper=[0, 0])
+        assert_same_solution(lp)
+        assert solve_lp(lp).bound_duals == (F(0), F(1))
+
+    @pytest.mark.parametrize("n", [20, 30])
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("build", [build_standard_lp, build_intersecting_family_lp])
+    def test_random_relaxations(self, build, seed, n):
+        inst = gen_random(n * 3 // 2, n, 3, seed, (F(1), F(5)))
+        assert_same_solution(build(inst))
+
+    @pytest.mark.parametrize("build", [build_standard_lp, build_intersecting_family_lp])
+    def test_plane_of_order_five(self, build):
+        assert_same_solution(build(gen_projective_plane(5)))
+
+
 class TestCertify:
     def lp_and_solution(self):
         lp = lp_of(2, [1, 1], [([1, 2], LEQ, 4), ([3, 1], LEQ, 6)], upper=[10, 10])
@@ -241,6 +330,14 @@ class TestCertify:
         assert "duals" in certify_optimal(lp, dataclasses.replace(sol, duals=sol.duals[:1]))
         longer = dataclasses.replace(sol, duals=sol.duals + (F(0),))
         assert "duals" in certify_optimal(lp, longer)
+
+    def test_solve_lp_raises_when_certificate_fails(self, monkeypatch):
+        lp, _ = self.lp_and_solution()
+        monkeypatch.setattr(ksetpack.lp, "certify_optimal", lambda lp, sol: "forged")
+        with pytest.raises(RuntimeError) as err:
+            solve_lp(lp)
+        assert str(err.value).startswith("internal: optimum failed certification")
+        assert str(err.value).endswith("forged")
 
     def test_rejects_wrong_number_of_bound_duals(self):
         lp, sol = self.lp_and_solution()
