@@ -1,14 +1,16 @@
 """Exact oracles: maximum-weight packing via branch and bound.
 
 Desk-scale only.  The solver works on the conflict graph (packings are
-exactly its independent sets) and is guarded by a hard size cap.
+exactly its independent sets) and is guarded by a hard size cap.  Weights
+are scaled once to integers by the lcm of their denominators, so the bound
+and every comparison run on ints; a positive scaling keeps every outcome.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from .instance import ConflictGraph, Instance, Packing, conflict_graph, packing_value
-from .util import CapExceededError
+from .util import CapExceededError, integral
 
 ORACLE_CAP = 40
 
@@ -24,12 +26,13 @@ def max_independent_set_exact(
     if n > cap:
         raise CapExceededError(f"{n} vertices exceeds exact oracle cap {cap}")
     neighbor_sets = [frozenset(graph.neighbors[v]) for v in range(n)]
-    best_value = Fraction(0)
+    weights = integral(graph.weights)
+    best_value = 0
     best_members: tuple[int, ...] = ()
 
-    def explore(candidates: set[int], chosen: list[int], value: Fraction) -> None:
+    def explore(candidates: set[int], chosen: list[int], value: int) -> None:
         nonlocal best_value, best_members
-        bound = value + sum((graph.weights[v] for v in candidates), Fraction(0))
+        bound = value + sum(weights[v] for v in candidates)
         if bound < best_value:
             return
         if not candidates:
@@ -44,11 +47,11 @@ def max_independent_set_exact(
             key=lambda v: (len(neighbor_sets[v] & candidates), -v),
         )
         chosen.append(branch)
-        explore(candidates - neighbor_sets[branch] - {branch}, chosen, value + graph.weights[branch])
+        explore(candidates - neighbor_sets[branch] - {branch}, chosen, value + weights[branch])
         chosen.pop()
         explore(candidates - {branch}, chosen, value)
 
-    explore(set(range(n)), [], Fraction(0))
+    explore(set(range(n)), [], 0)
     return best_members
 
 

@@ -211,9 +211,12 @@ def gen_random(
     """Sample n distinct k-subsets of a universe, uniformly, reproducibly.
 
     Optional weights are drawn from a 1/1000 grid over [lo, hi] so they stay
-    exact rationals.  Raises ValueError when fewer than n distinct k-subsets
-    exist, or if resampling against duplicates somehow exceeds 100*n tries.
+    exact rationals.  Raises ValueError when n < 1, when fewer than n
+    distinct k-subsets exist, or if resampling against duplicates somehow
+    exceeds 100*n tries.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1 sets, got n={n}")
     if k < 1 or k > universe_size:
         raise ValueError(f"need 1 <= k <= universe size, got k={k}, N={universe_size}")
     if math.comb(universe_size, k) < n:

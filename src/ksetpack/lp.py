@@ -3,9 +3,12 @@
 Maximization LPs with sparse <=/= rows and per-variable bounds, solved
 exactly with Bland's anti-cycling rule, so optima are exact and ties
 deterministic.  Solutions carry Fraction values and dual values, and
-certify_optimal checks feasibility plus strong duality in Fraction
-arithmetic, which proves optimality independently of how the solver got
-there.  Desk scale: one list per tableau row, no factorization.
+certify_optimal checks feasibility plus strong duality exactly, which
+proves optimality independently of how the solver got there.  It reads
+only the LP and the solution.  Each row lhs, the objective, each dual
+column and the dual objective is one sum over a common denominator
+(`_dot`): numerators are added as ints and one Fraction is made per sum.
+Desk scale: one list per tableau row, no factorization.
 
 The tableau is kept in Python ints over one common denominator d
 (integer-preserving elimination: Edmonds 1967, Bareiss 1968).  Each row is
@@ -22,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .util import format_fraction
 
@@ -79,6 +83,27 @@ def check_lp(lp: LinearProgram) -> None:
             if var in seen:
                 raise ValueError(f"constraint {c.label}: duplicate variable {var}")
             seen.add(var)
+
+
+def _dot(pairs) -> Fraction:
+    """Exact sum of a·b over pairs of rationals (Fractions or ints): the
+    numerators are summed as ints over one common denominator, zero terms
+    are skipped, and one Fraction is made at the end."""
+    num, den = 0, 1
+    for a, b in pairs:
+        an, ad = a.as_integer_ratio()
+        if not an:
+            continue
+        bn, bd = b.as_integer_ratio()
+        if not bn:
+            continue
+        q = ad * bd
+        if den % q:
+            lcm = den // math.gcd(den, q) * q
+            num *= lcm // den
+            den = lcm
+        num += an * bn * (den // q)
+    return Fraction(num, den)
 
 
 def _pivot(rows, obj, basis, d, r, e):
@@ -140,19 +165,21 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     n = lp.num_vars
 
     # shift to y = x - lower >= 0 and materialize upper bounds as rows
-    shift_const = sum(
-        (lp.objective[j] * lp.lower[j] for j in range(n)), Fraction(0)
-    )
+    lower = lp.lower
+    shift_const = _dot(zip(lp.objective, lower))
     internal = [
         (
             c.coeffs,
             c.relation,
-            Fraction(c.rhs) - sum((a * lp.lower[v] for v, a in c.coeffs), Fraction(0)),
+            _dot(chain(((c.rhs, 1),), ((-a, lower[v]) for v, a in c.coeffs if lower[v]))),
         )
         for c in lp.constraints
     ]
     bounded = [j for j in range(n) if lp.upper[j] is not None]
-    internal += [(((j, 1),), LEQ, lp.upper[j] - lp.lower[j]) for j in bounded]
+    internal += [
+        (((j, 1),), LEQ, lp.upper[j] - lower[j] if lower[j] else lp.upper[j])
+        for j in bounded
+    ]
 
     # row i is scaled by the lcm L_i of its denominators, negated when its
     # rhs is negative (a <= row then becomes >=: slack -1 and an artificial)
@@ -222,21 +249,26 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     if status == "unbounded":
         return LpSolution(status="unbounded")
 
-    y = [Fraction(0)] * n
+    zero = Fraction(0)  # shared by every zero entry of the solution
+    y = [zero] * n
     for row, col in zip(rows, basis):
-        if col < n:
+        if col < n and row[-1]:
             y[col] = Fraction(row[-1], d)
-    values = tuple(lp.lower[j] + y[j] for j in range(n))
-    row_duals = [Fraction(obj[u] * k, d * lc) for u, k in zip(unit_col, back)]
+    values = tuple(lo + yj if lo else yj for lo, yj in zip(lower, y))
+    dl = d * lc
+    row_duals = [Fraction(obj[u] * k, dl) if obj[u] else zero for u, k in zip(unit_col, back)]
     m = len(lp.constraints)
-    bound_duals = [Fraction(0)] * n
+    bound_duals = [zero] * n
     for j, dual in zip(bounded, row_duals[m:]):
         bound_duals[j] = dual
+    objective_value = Fraction(obj[-1], dl)
+    if shift_const:
+        objective_value += shift_const
 
     solution = LpSolution(
         status="optimal",
         values=values,
-        objective_value=Fraction(obj[-1], d * lc) + shift_const,
+        objective_value=objective_value,
         duals=tuple(row_duals[:m]),
         bound_duals=tuple(bound_duals),
     )
@@ -262,12 +294,12 @@ def certify_optimal(lp: LinearProgram, sol: LpSolution) -> str | None:
         if x[j] < lp.lower[j] or (lp.upper[j] is not None and x[j] > lp.upper[j]):
             return f"variable {j} breaks its bounds"
     for c in lp.constraints:
-        lhs = sum((coef * x[var] for var, coef in c.coeffs), Fraction(0))
+        lhs = _dot((coef, x[var]) for var, coef in c.coeffs)
         if c.relation == LEQ and lhs > c.rhs:
             return f"constraint {c.label} violated"
         if c.relation == EQ and lhs != c.rhs:
             return f"constraint {c.label} violated"
-    obj = sum((lp.objective[j] * x[j] for j in range(n)), Fraction(0))
+    obj = _dot(zip(lp.objective, x))
     if obj != sol.objective_value:
         return "objective value does not match values"
 
@@ -282,27 +314,29 @@ def certify_optimal(lp: LinearProgram, sol: LpSolution) -> str | None:
     for c, yi in zip(lp.constraints, y):
         if c.relation == LEQ and yi < 0:
             return f"dual of {c.label} negative"
-    slack = []
-    col = [Fraction(0)] * n
+    # column j of the dual: its terms y_i·a_ij, then + ub_j − c_j
+    col: list[list] = [[] for _ in range(n)]
     for c, yi in zip(lp.constraints, y):
-        for var, coef in c.coeffs:
-            col[var] += yi * coef
+        if yi:
+            for var, coef in c.coeffs:
+                col[var].append((yi, coef))
+    slack = []
     for j in range(n):
         if ub[j] < 0:
             return f"bound dual of variable {j} negative"
         if ub[j] != 0 and lp.upper[j] is None:
             return f"bound dual of variable {j} has no upper bound"
-        s = col[j] + ub[j] - lp.objective[j]
+        col[j] += ((ub[j], 1), (lp.objective[j], -1))
+        s = _dot(col[j])
         if s < 0:
             return f"dual constraint for variable {j} violated"
         slack.append(s)
-    dual_obj = (
-        sum((yi * c.rhs for c, yi in zip(lp.constraints, y)), Fraction(0))
-        + sum(
-            (ub[j] * lp.upper[j] for j in range(n) if lp.upper[j] is not None),
-            Fraction(0),
+    dual_obj = _dot(
+        chain(
+            zip(y, (c.rhs for c in lp.constraints)),
+            ((u, hi) for u, hi in zip(ub, lp.upper) if hi is not None),
+            ((s, -lo) for s, lo in zip(slack, lp.lower) if lo),
         )
-        - sum((slack[j] * lp.lower[j] for j in range(n)), Fraction(0))
     )
     if dual_obj != obj:
         return f"duality gap: primal {obj}, dual {dual_obj}"

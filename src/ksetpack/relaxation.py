@@ -22,6 +22,7 @@ from .lp import LEQ, Constraint, LinearProgram, solve_lp
 from .util import CapExceededError, ParseError
 
 CLIQUE_CAP = 100_000
+_ONE = Fraction(1)  # one shared object for every unit coefficient and bound
 
 
 def build_standard_lp(instance: Instance) -> LinearProgram:
@@ -37,9 +38,9 @@ def build_standard_lp(instance: Instance) -> LinearProgram:
             member_of.setdefault(e, []).append(i)
     constraints = [
         Constraint(
-            coeffs=tuple((i, Fraction(1)) for i in member_of[e]),
+            coeffs=tuple((i, _ONE) for i in member_of[e]),
             relation=LEQ,
-            rhs=Fraction(1),
+            rhs=_ONE,
             label="degree",
         )
         for e in sorted(member_of)
@@ -50,7 +51,7 @@ def build_standard_lp(instance: Instance) -> LinearProgram:
         objective=[instance.weight(i) for i in range(n)],
         constraints=constraints,
         lower=[Fraction(0)] * n,
-        upper=[Fraction(1)] * n,
+        upper=[_ONE] * n,
     )
 
 
@@ -104,9 +105,9 @@ def build_intersecting_family_lp(
                 )
         lp.constraints.append(
             Constraint(
-                coeffs=tuple((i, Fraction(1)) for i in clique),
+                coeffs=tuple((i, _ONE) for i in clique),
                 relation=LEQ,
-                rhs=Fraction(1),
+                rhs=_ONE,
                 label="clique",
             )
         )

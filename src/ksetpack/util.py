@@ -1,6 +1,8 @@
-"""Shared plumbing: exact rational text forms, work budgets, error types."""
+"""Shared plumbing: exact rational text forms, integer scaling, work budgets,
+error types."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,6 +35,15 @@ def parse_fraction(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}: {exc}") from None
+
+
+def integral(values) -> list[int]:
+    """The rationals times the least common denominator of their values:
+    every sum keeps its sign and every comparison its outcome, in integer
+    arithmetic."""
+    ratios = [p.as_integer_ratio() for p in values]
+    scale = math.lcm(*(q for _, q in ratios))
+    return [p * (scale // q) for p, q in ratios]
 
 
 # Generous default: enough for every desk-scale run in the test suite, small

@@ -36,7 +36,6 @@ though graph weights themselves are strictly positive.
 from __future__ import annotations
 
 import decimal
-import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -44,7 +43,7 @@ from itertools import accumulate
 from typing import Callable, Sequence
 
 from .instance import ConflictGraph
-from .util import SearchStats, WorkBudget
+from .util import SearchStats, WorkBudget, integral
 
 # decimal digits for the weight powers of fractional alpha in the power search
 DECIMAL_PRECISION = 60
@@ -221,13 +220,6 @@ def _first_improvement(nbr, sol, potential, candidates, t, budget, threshold=0):
     return None
 
 
-def _integral(potential) -> list[int]:
-    """The rational potential times the least common denominator of its
-    values: every gain keeps its sign, in integer arithmetic."""
-    scale = math.lcm(*(Fraction(p).denominator for p in potential))
-    return [int(p * scale) for p in potential]
-
-
 def _apply_swap(
     graph: ConflictGraph, a: frozenset[int], incoming: tuple[int, ...]
 ) -> frozenset[int]:
@@ -274,7 +266,7 @@ def _t_swap_step(graph: ConflictGraph, potential, t: int, budget, margin=None) -
     budget = budget if budget is not None else WorkBudget()
     view = _SolutionNeighbors(graph)
     if margin is None:
-        potential = _integral(potential)
+        potential = integral(potential)
 
     def step(a: frozenset[int]) -> frozenset[int] | None:
         threshold = 0
@@ -360,7 +352,7 @@ def find_nice_claw(
     """
     a = _check_independent(graph, a)
     view = _SolutionNeighbors(graph)
-    w = _integral(weights if weights is not None else graph.weights)
+    w = integral(weights if weights is not None else graph.weights)
     budget = budget if budget is not None else WorkBudget()
     return _nice_claw(view, view.at(a), a, w, budget)
 
@@ -482,7 +474,7 @@ def wishful_thinking(
 def _nice_claw_step(graph: ConflictGraph, weights, budget: WorkBudget | None) -> _Step:
     budget = budget if budget is not None else WorkBudget()
     view = _SolutionNeighbors(graph)
-    w = _integral(weights if weights is not None else graph.weights)
+    w = integral(weights if weights is not None else graph.weights)
 
     def step(a: frozenset[int]) -> frozenset[int] | None:
         claw = _nice_claw(view, view.at(a), a, w, budget)
@@ -504,7 +496,7 @@ def square_imp(
     accepted swap strictly increases w²(A), so the loop terminates."""
     w = weights if weights is not None else graph.weights
     budget = budget if budget is not None else WorkBudget()
-    squares = _integral([x * x for x in w])
+    squares = integral([x * x for x in w])
     view = _SolutionNeighbors(graph)
 
     def step(a: frozenset[int]) -> frozenset[int] | None:

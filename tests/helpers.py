@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 
 from ksetpack import (
+    ORACLE_CAP,
+    CapExceededError,
     Claw,
     ConflictGraph,
     ImprovingSet,
@@ -24,7 +26,7 @@ from ksetpack import (
     induced_edge_count,
     is_packing,
 )
-from ksetpack.lp import EQ, LEQ, LinearProgram, LpSolution, certify_optimal, check_lp
+from ksetpack.lp import EQ, LEQ, LinearProgram, LpSolution, check_lp
 
 
 def brute_max_weight_independent(
@@ -573,7 +575,114 @@ def reference_solve_lp(lp: LinearProgram) -> LpSolution:
         duals=tuple(duals),
         bound_duals=tuple(bound_duals),
     )
-    problem = certify_optimal(lp, solution)
+    problem = reference_certify_optimal(lp, solution)
     if problem is not None:
         raise RuntimeError(f"internal: optimum failed certification: {problem}")
     return solution
+
+
+# certify_optimal as it was when it summed Fractions term by term: the
+# reference that the common-denominator certificate must match, message for
+# message.
+def reference_certify_optimal(lp: LinearProgram, sol: LpSolution) -> str | None:
+    """Independent optimality proof: exact primal feasibility, dual
+    feasibility, and matching primal/dual objectives.  Returns None when the
+    certificate checks out, else a description of the first failure."""
+    if sol.status != "optimal":
+        return f"status is {sol.status}"
+    x = sol.values
+    n = lp.num_vars
+    if x is None:
+        return "solution carries no values"
+    if len(x) != n:
+        return f"{len(x)} values for {n} variables"
+    for j in range(n):
+        if x[j] < lp.lower[j] or (lp.upper[j] is not None and x[j] > lp.upper[j]):
+            return f"variable {j} breaks its bounds"
+    for c in lp.constraints:
+        lhs = sum((coef * x[var] for var, coef in c.coeffs), Fraction(0))
+        if c.relation == LEQ and lhs > c.rhs:
+            return f"constraint {c.label} violated"
+        if c.relation == EQ and lhs != c.rhs:
+            return f"constraint {c.label} violated"
+    obj = sum((lp.objective[j] * x[j] for j in range(n)), Fraction(0))
+    if obj != sol.objective_value:
+        return "objective value does not match values"
+
+    y = sol.duals
+    ub = sol.bound_duals
+    if y is None or ub is None:
+        return "solution carries no duals"
+    if len(y) != len(lp.constraints):
+        return f"{len(y)} duals for {len(lp.constraints)} constraints"
+    if len(ub) != n:
+        return f"{len(ub)} bound duals for {n} variables"
+    for c, yi in zip(lp.constraints, y):
+        if c.relation == LEQ and yi < 0:
+            return f"dual of {c.label} negative"
+    slack = []
+    col = [Fraction(0)] * n
+    for c, yi in zip(lp.constraints, y):
+        for var, coef in c.coeffs:
+            col[var] += yi * coef
+    for j in range(n):
+        if ub[j] < 0:
+            return f"bound dual of variable {j} negative"
+        if ub[j] != 0 and lp.upper[j] is None:
+            return f"bound dual of variable {j} has no upper bound"
+        s = col[j] + ub[j] - lp.objective[j]
+        if s < 0:
+            return f"dual constraint for variable {j} violated"
+        slack.append(s)
+    dual_obj = (
+        sum((yi * c.rhs for c, yi in zip(lp.constraints, y)), Fraction(0))
+        + sum(
+            (ub[j] * lp.upper[j] for j in range(n) if lp.upper[j] is not None),
+            Fraction(0),
+        )
+        - sum((slack[j] * lp.lower[j] for j in range(n)), Fraction(0))
+    )
+    if dual_obj != obj:
+        return f"duality gap: primal {obj}, dual {dual_obj}"
+    return None
+
+
+# max_independent_set_exact as it was on Fraction weights: the reference
+# for the oracle on integer-scaled weights.
+def reference_max_independent_set_exact(
+    graph: ConflictGraph, cap: int = ORACLE_CAP
+) -> tuple[int, ...]:
+    """Maximum-weight independent set, ties toward the lexicographically
+    smallest sorted member tuple.  Branches on the highest-degree candidate;
+    bounds by total remaining weight.  Raises CapExceededError above `cap`
+    vertices."""
+    n = graph.vertex_count
+    if n > cap:
+        raise CapExceededError(f"{n} vertices exceeds exact oracle cap {cap}")
+    neighbor_sets = [frozenset(graph.neighbors[v]) for v in range(n)]
+    best_value = Fraction(0)
+    best_members: tuple[int, ...] = ()
+
+    def explore(candidates: set[int], chosen: list[int], value: Fraction) -> None:
+        nonlocal best_value, best_members
+        bound = value + sum((graph.weights[v] for v in candidates), Fraction(0))
+        if bound < best_value:
+            return
+        if not candidates:
+            members = tuple(sorted(chosen))
+            if value > best_value or (value == best_value and members < best_members):
+                best_value = value
+                best_members = members
+            return
+        # branch vertex: most conflicts among the remaining candidates
+        branch = max(
+            candidates,
+            key=lambda v: (len(neighbor_sets[v] & candidates), -v),
+        )
+        chosen.append(branch)
+        explore(candidates - neighbor_sets[branch] - {branch}, chosen, value + graph.weights[branch])
+        chosen.pop()
+        explore(candidates - {branch}, chosen, value)
+
+    explore(set(range(n)), [], Fraction(0))
+    return best_members

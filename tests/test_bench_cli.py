@@ -239,6 +239,18 @@ class TestRunBench:
         assert [r["status"] for r in rows] == ["error", "error", "ok"]
         assert "generation failed" in rows[0]["note"]
 
+    @pytest.mark.parametrize("gaps", ["", "gaps standard intersecting\n"], ids=["plain", "gaps"])
+    def test_empty_random_family_is_a_generation_failure(self, gaps):
+        # with no sets there is no exact value to divide by and no LP to solve
+        config = parse_bench_config(
+            "family e random universe=3 n=0 k=3 seeds=1\n"
+            "family fine projective q=2\nalgorithms greedy exact\n" + gaps
+        )
+        rows = run_bench(config)
+        assert [r["status"] for r in rows] == ["error", "error", "ok", "ok"]
+        assert rows[0]["note"] == "generation failed: need n >= 1 sets, got n=0"
+        assert not has_internal_error(rows)
+
     def test_no_algorithms_means_no_rows(self):
         config = parse_bench_config("family fano projective q=2\n")
         assert run_bench(config) == []
@@ -524,6 +536,28 @@ class TestCli:
             "family broken random universe=4 n=9 k=2\nalgorithms greedy\n"
         )
         assert main(["bench", str(config)]) == 2
+
+    @pytest.mark.parametrize("gaps", ["", "gaps standard\n"], ids=["plain", "gaps"])
+    def test_bench_empty_random_family(self, tmp_path, gaps):
+        config = tmp_path / "bench.cfg"
+        config.write_text(
+            "family e random universe=3 n=0 k=3 seeds=1\nalgorithms greedy exact\n" + gaps
+        )
+        out = tmp_path / "rows.csv"
+        assert main(["bench", str(config), "--out", str(out)]) == 2
+        rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+        assert [(r["algorithm"], r["status"]) for r in rows] == [
+            ("greedy", "error"),
+            ("exact", "error"),
+        ]
+        assert all(r["note"].startswith("generation failed: need n >= 1") for r in rows)
+
+    def test_generate_random_rejects_no_sets(self, tmp_path, capsys):
+        out = tmp_path / "e.sp"
+        args = ["generate", "random", "--universe", "3", "--n", "0", "--k", "3"]
+        assert main(args + ["--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: need n >= 1 sets, got n=0\n"
+        assert not out.exists()
 
     def test_bench_no_rows_is_success(self, tmp_path):
         config = tmp_path / "bench.cfg"

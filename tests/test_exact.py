@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import brute_max_weight_independent
+from helpers import brute_max_weight_independent, reference_max_independent_set_exact
 
 from ksetpack import (
     CapExceededError,
@@ -62,6 +62,46 @@ class TestMaxIndependentSet:
         with pytest.raises(CapExceededError):
             max_independent_set_exact(g)
         assert len(max_independent_set_exact(g, cap=ORACLE_CAP + 1)) == ORACLE_CAP + 1
+
+
+def optima(graph, value):
+    """Every independent set of the given weight."""
+    n = graph.vertex_count
+    return [
+        s
+        for r in range(n + 1)
+        for s in itertools.combinations(range(n), r)
+        if not any(graph.adjacent(u, v) for u, v in itertools.combinations(s, 2))
+        and sum((graph.weights[v] for v in s), Fraction(0)) == value
+    ]
+
+
+TIE_WEIGHTS = tuple(Fraction(p, q) for p, q in ((1, 6), (1, 3), (1, 2), (2, 3), (1, 1)))
+
+
+class TestAgainstFractionOracle:
+    """On integer-scaled weights the oracle must return the members of the
+    Fraction-weight one: the same optimum and the same lex-smallest tie."""
+
+    def test_tie_heavy_weights(self):
+        rng = random.Random(31)
+        ties = 0
+        for trial in range(150):
+            n = rng.randrange(1, 14)
+            edges = [
+                (u, v)
+                for u, v in itertools.combinations(range(n), 2)
+                if rng.random() < rng.choice([0.2, 0.4, 0.6])
+            ]
+            weights = [rng.choice(TIE_WEIGHTS) for _ in range(n)]
+            g = ConflictGraph.from_edges(n, edges, weights)
+            got = max_independent_set_exact(g)
+            assert got == reference_max_independent_set_exact(g)
+            want_val, want_members = brute_max_weight_independent(g)
+            assert got == want_members
+            assert sum((g.weights[v] for v in got), Fraction(0)) == want_val
+            ties += len(optima(g, want_val)) > 1
+        assert ties >= 30  # the tie-break decides on many of the graphs
 
 
 class TestMaxPacking:

@@ -3,8 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import brute_lp_optimum, reference_solve_lp
-from hypothesis import given
+from helpers import brute_lp_optimum, reference_certify_optimal, reference_solve_lp
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ksetpack.lp
@@ -345,6 +345,82 @@ class TestCertify:
         assert "bound duals" in certify_optimal(lp, shorter)
         longer = dataclasses.replace(sol, bound_duals=sol.bound_duals + (F(0),))
         assert "bound duals" in certify_optimal(lp, longer)
+
+
+nudges = st.sampled_from((F(1, 7), F(-1, 7)))
+TAMPERINGS = (
+    "none", "value", "dual", "bound_dual", "objective", "truncate", "extend",
+    "free_bound_dual", "missing", "slack_bound_duals",
+)
+
+
+@st.composite
+def certificate_cases(draw):
+    """An LP of `general_lps` with its solution, or with that solution
+    tampered with.  An LP without an optimum gets its non-optimal solution
+    or a forged optimum, so that every check runs on it too."""
+    lp = draw(general_lps())
+    n, m = lp.num_vars, len(lp.constraints)
+    sol = solve_lp(lp)
+    if sol.status != "optimal":
+        if draw(st.booleans()):
+            return lp, sol
+        sol = LpSolution(
+            "optimal",
+            tuple(lo + draw(st.sampled_from((0, F(1, 2), 1))) for lo in lp.lower),
+            draw(fractions),
+            tuple(draw(fractions) for _ in range(m)),
+            tuple(F(0) if hi is None else abs(draw(fractions)) for hi in lp.upper),
+        )
+    values, duals, bound_duals = list(sol.values), list(sol.duals), list(sol.bound_duals)
+    tamper = draw(st.sampled_from(TAMPERINGS))
+    if tamper == "value":
+        values[draw(st.integers(0, n - 1))] += draw(nudges)
+    elif tamper == "dual" and m:
+        duals[draw(st.integers(0, m - 1))] += draw(nudges)
+    elif tamper == "bound_dual":
+        bound_duals[draw(st.integers(0, n - 1))] += draw(nudges)
+    elif tamper == "objective":
+        return lp, dataclasses.replace(sol, objective_value=sol.objective_value + draw(nudges))
+    elif tamper in ("truncate", "extend"):
+        vector = draw(st.sampled_from((values, duals, bound_duals)))
+        if tamper == "truncate" and vector:
+            vector.pop()
+        else:
+            vector.append(F(0))
+    elif tamper == "free_bound_dual":
+        free = [j for j in range(n) if lp.upper[j] is None]
+        if free:
+            bound_duals[draw(st.sampled_from(free))] = abs(draw(nudges))
+    elif tamper == "slack_bound_duals":
+        # still dual feasible, but the dual objective rises: a duality gap
+        bound_duals = [u if hi is None else u + F(1, 7) for u, hi in zip(bound_duals, lp.upper)]
+    elif tamper == "missing":
+        field = draw(st.sampled_from(("values", "duals", "bound_duals")))
+        return lp, dataclasses.replace(sol, **{field: None})
+    return lp, dataclasses.replace(
+        sol, values=tuple(values), duals=tuple(duals), bound_duals=tuple(bound_duals)
+    )
+
+
+class TestCertifyAgainstFractionSums:
+    """The common-denominator certificate must give the verdict of the
+    term-by-term Fraction one, message for message."""
+
+    def test_same_verdict(self):
+        seen = set()
+
+        @settings(max_examples=200)
+        @given(certificate_cases())
+        def check(case):
+            verdict = certify_optimal(*case)
+            assert verdict == reference_certify_optimal(*case)
+            seen.add(verdict if verdict is None else verdict.split()[0])
+
+        check()
+        # the examples reach a passing certificate and most of the checks
+        assert {None, "status", "variable", "constraint", "objective", "dual",
+                "bound", "duality", "solution"} <= seen
 
 
 class TestSerialize:
