@@ -233,7 +233,7 @@ def log_improvement_search(
 
     layers = _connected_layers(
         range(n_aux),
-        size_cap,
+        [set() for _ in range(size_cap)],
         between.__getitem__,
         grow,
         (0, frozenset()),

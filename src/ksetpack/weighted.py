@@ -22,8 +22,15 @@ by least vertex in the manner of Wernicke's ESU (`_connected_sets`), which
 `local_search.log_improvement_search` runs too.  The margin of non-integer
 alpha does not add up over components, so that path keeps the enumeration
 of every non-adjacent subset.  Each vertex's solution neighbours are built
-once per run and updated, per swap, for the vertices the swap touched;
-every applied swap is checked for independence in full, once.  The
+once per run and updated, per swap, for the vertices the swap touched: the
+neighbours of the members that left or came in.  The verdicts of a step
+carry to the next: the t-swap step keeps its links and, per size, the
+anchors with no improving set (`_Verdicts`), and SquareImp keeps the
+vertices with no improving 1-claw and the centers with no improving claw.
+A swap voids them only near the vertices it touched, so a step re-probes
+only what the last swap could have changed, and finds the same swap as a
+full search.  A solution that a step did not return voids them all.
+Every applied swap is checked for independence in full, once.  The
 nice-claw loops read their charges off the same view, doubled and in
 integers, and find talons by one depth-first search whose first branch is
 the greedy pick.
@@ -143,26 +150,30 @@ def _connected_sets(anchor, size, links, grow, start, budget):
         frames.append((ext + fresh, closed.union(fresh), after))
 
 
-def _connected_layers(anchors, max_size, links, grow, start, keep, budget):
-    """For each size from 1 to max_size and each anchor in ascending order,
-    the sorted list of the connected sets of that size with that least
-    vertex whose state passes `keep`, when there are any.  An anchor with
-    no set of some size has none larger, so it is dropped."""
-    live = list(anchors)
-    for size in range(1, max_size + 1):
-        still = []
-        for anchor in live:
+def _connected_layers(anchors, verified, links, grow, start, keep, budget):
+    """For each size s from 1 to len(verified) and each anchor in ascending
+    order that `verified[s - 1]` does not hold, the sorted list of the
+    connected sets of size s with that least vertex whose state passes
+    `keep`, when there are any.  An anchor whose sets all fail `keep` joins
+    `verified[s - 1]`; one with no set of size s has none larger, so it
+    joins every larger size too."""
+    for size, done in enumerate(verified, 1):
+        for anchor in anchors:
+            if anchor in done:
+                continue
             reached = False
             found = []
             for members, state in _connected_sets(anchor, size, links, grow, start, budget):
                 reached = True
                 if keep(state):
                     found.append(tuple(sorted(members)))
-            if reached:
-                still.append(anchor)
             if found:
                 yield sorted(found)
-        live = still
+            elif reached:
+                done.add(anchor)
+            else:
+                for larger in verified[size - 1:]:
+                    larger.add(anchor)
 
 
 def _gain(sol, potential, incoming) -> Fraction | Decimal | int:
@@ -172,10 +183,69 @@ def _gain(sol, potential, incoming) -> Fraction | Decimal | int:
     return sum(potential[u] for u in incoming) - sum(potential[x] for x in removed)
 
 
-def _first_improvement(nbr, sol, potential, candidates, t, budget, threshold=0):
+def _linked(nbr, sol, w) -> set[int]:
+    """The vertices linked to w: non-adjacent to w and sharing a solution
+    neighbour with it.  Every neighbour of a member lies outside A."""
+    near = set().union(*(nbr[m] for m in sol[w]))
+    near -= nbr[w]
+    near.discard(w)
+    return near
+
+
+class _Verdicts:
+    """What a first-improvement search has shown about a solution A, kept
+    from one step to the next: each candidate's links, and per size s the
+    anchors verified at s (`verified[s - 1]`): no connected set of s
+    candidates with that least vertex improves, or none exists.
+
+    A swap changes the solution neighbours of the vertices it touches only
+    (`_SolutionNeighbors.swap`).  An untouched vertex keeps its side of A,
+    its solution neighbours and its links, and a link through a member that
+    left or came in makes both ends touched.  So a connected set with no
+    touched member survives the swap with the same gain, and a set the swap
+    creates holds a touched candidate within s - 1 links of its anchor."""
+
+    def __init__(self, t: int):
+        self.links: dict[int, set[int]] = {}
+        self.verified: list[set[int]] = [set() for _ in range(t)]
+
+    def forget(self, touched: set[int] | None, nbr, sol, a: frozenset[int]) -> None:
+        """Drop what a swap to A may have changed: the links of the touched
+        vertices and, at each size s, the verdicts on the anchors within
+        s - 1 links of a touched candidate.  None drops everything."""
+        if touched is None:
+            self.links.clear()
+            for done in self.verified:
+                done.clear()
+            return
+        for w in touched:
+            self.links.pop(w, None)
+        # breadth first, in lists: large temporary sets fragment the heap
+        ring = [w for w in touched if w not in a]
+        seen = set(ring)
+        for hops in range(len(self.verified)):
+            for done in self.verified[hops:]:
+                done.difference_update(ring)
+            if hops + 1 == len(self.verified):
+                break
+            further = []
+            for w in ring:
+                if w not in self.links:
+                    self.links[w] = _linked(nbr, sol, w)
+                for v in self.links[w]:
+                    if v not in seen:
+                        seen.add(v)
+                        further.append(v)
+            ring = further
+
+
+def _first_improvement(nbr, sol, potential, candidates, t, budget, verdicts=None):
     """First subset of at most t candidates (ascending ids), by size then
-    lex order, whose swap raises the potential by more than `threshold`.
-    `sol[u]` is u's solution neighbours.
+    lex order, whose swap raises the potential.  `sol[u]` is u's solution
+    neighbours.  `verdicts` carries the links and the verified anchors of
+    earlier steps (see `_Verdicts`), and holds only while every step's
+    candidates are all the vertices outside its A; the search skips the
+    verified anchors and records the ones it verifies.
 
     Link two candidates when they are non-adjacent and share a solution
     neighbour.  The removed members of two link components are disjoint, so
@@ -183,26 +253,16 @@ def _first_improvement(nbr, sol, potential, candidates, t, budget, threshold=0):
     of several components has an improving component of smaller size.  At
     the first size with an improving subset every improving subset is then
     connected, and the lex-first is the lex-least at the least anchor that
-    has one.  So only connected subsets are probed.  A nonzero threshold
-    does not add up over components; that path keeps the full enumeration.
+    has one.  So only connected subsets are probed, and a verified anchor,
+    which has no improving set of that size, cannot hold the lex-first.
     """
-    if threshold != 0:
-        for size in range(1, t + 1):
-            for incoming in _disjoint_subsets(candidates, nbr, size, budget):
-                if _gain(sol, potential, incoming) > threshold:
-                    return incoming
-        return None
-
+    verdicts = verdicts if verdicts is not None else _Verdicts(t)
     allowed = set(candidates)
-    cache: dict[int, set[int]] = {}
+    cache = verdicts.links
 
     def links(w: int) -> set[int]:
         if w not in cache:
-            # every neighbour of a member lies outside A
-            near = set().union(*(nbr[m] for m in sol[w]))
-            near -= nbr[w]
-            near.discard(w)
-            cache[w] = near & allowed
+            cache[w] = _linked(nbr, sol, w) & allowed
         return cache[w]
 
     def grow(members, w, state):
@@ -213,7 +273,13 @@ def _first_improvement(nbr, sol, potential, candidates, t, budget, threshold=0):
         return gain + potential[w] - sum(potential[x] for x in leaving), removed | leaving
 
     layers = _connected_layers(
-        candidates, t, links, grow, (0, frozenset()), lambda state: state[0] > 0, budget
+        candidates,
+        verdicts.verified,
+        links,
+        grow,
+        (0, frozenset()),
+        lambda state: state[0] > 0,
+        budget,
     )
     for found in layers:
         return found[0]
@@ -236,6 +302,7 @@ class _SolutionNeighbors:
         self.nbr = [frozenset(graph.neighbors[u]) for u in range(graph.vertex_count)]
         self.a: frozenset[int] | None = None
         self.sol: list[set[int]] = []
+        self.touched: set[int] | None = None
 
     def at(self, a: frozenset[int]) -> list[set[int]]:
         """The solution neighbours under `a`, rebuilt if `a` is not the
@@ -243,40 +310,63 @@ class _SolutionNeighbors:
         if a is not self.a and a != self.a:
             self.a = a
             self.sol = [set(self.nbr[u] & a) for u in range(self.graph.vertex_count)]
+            self.touched = None
         return self.sol
+
+    def take_touched(self) -> set[int] | None:
+        """The vertices the swaps since the last call touched, or None when
+        the view was rebuilt since, as every vertex may have changed."""
+        touched, self.touched = self.touched, set()
+        return touched
 
     def swap(self, a: frozenset[int], incoming: tuple[int, ...]) -> frozenset[int]:
         """Apply the swap to `a` (checked as ever) and update the touched
-        vertices: the neighbours of the members that left or came in."""
+        vertices: the neighbours of the members that left or came in, whose
+        solution neighbours change.  The members that left are among them,
+        as neighbours of the incoming vertices."""
         sol = self.at(a)
         after = _apply_swap(self.graph, a, incoming)
+        touched: set[int] = set()
         for x in a - after:
             for u in self.nbr[x]:
                 sol[u].discard(x)
+            touched |= self.nbr[x]
         for i in incoming:
             for u in self.nbr[i]:
                 sol[u].add(i)
+            touched |= self.nbr[i]
+        if self.touched is not None:
+            self.touched |= touched
         self.a = after
         return after
 
 
 def _t_swap_step(graph: ConflictGraph, potential, t: int, budget, margin=None) -> _Step:
     """Swaps of at most t outside vertices that raise the potential; with a
-    `margin`, the rise must exceed margin * (|p(A)| + 1)."""
+    `margin`, the rise must exceed margin * (|p(A)| + 1).  The verdicts of
+    one step carry to the next (`_Verdicts`), so a step re-searches only
+    what the last swap touched.  The margin does not add up over link
+    components, so that path probes every non-adjacent subset, every step."""
     budget = budget if budget is not None else WorkBudget()
     view = _SolutionNeighbors(graph)
+    verdicts = _Verdicts(t)
     if margin is None:
         potential = integral(potential)
 
     def step(a: frozenset[int]) -> frozenset[int] | None:
-        threshold = 0
-        if margin is not None:
-            threshold = margin * (abs(sum(potential[x] for x in a)) + 1)
         sol = view.at(a)
         outside = [u for u in range(graph.vertex_count) if u not in a]
-        incoming = _first_improvement(
-            view.nbr, sol, potential, outside, t, budget, threshold
-        )
+        if margin is None:
+            verdicts.forget(view.take_touched(), view.nbr, sol, a)
+            incoming = _first_improvement(view.nbr, sol, potential, outside, t, budget, verdicts)
+        else:
+            threshold = margin * (abs(sum(potential[x] for x in a)) + 1)
+            subsets = (
+                subset
+                for size in range(1, t + 1)
+                for subset in _disjoint_subsets(outside, view.nbr, size, budget)
+            )
+            incoming = next((s for s in subsets if _gain(sol, potential, s) > threshold), None)
         return None if incoming is None else view.swap(a, incoming)
 
     return step
@@ -494,18 +584,38 @@ def square_imp(
     squared weights; stop when none exists.  Centers are scanned in
     ascending id (1-claws first), talon subsets by size then lex; each
     accepted swap strictly increases w²(A), so the loop terminates."""
+    if max_talons is not None and max_talons < 1:
+        raise ValueError("max_talons must be >= 1")
     w = weights if weights is not None else graph.weights
     budget = budget if budget is not None else WorkBudget()
     squares = integral([x * x for x in w])
     view = _SolutionNeighbors(graph)
+    # verdicts kept across swaps: vertices with no improving 1-claw
+    # (members included), and centers with no improving claw.  A swap
+    # voids them for the vertices it touched, and for the centers next to
+    # one, whose candidates or their solution neighbours may have changed.
+    lone: set[int] = set()
+    centers: set[int] = set()
 
     def step(a: frozenset[int]) -> frozenset[int] | None:
         sol = view.at(a)
+        touched = view.take_touched()
+        if touched is None:
+            lone.clear()
+            centers.clear()
+        else:
+            lone.difference_update(touched)
+            centers.difference_update(touched, *(view.nbr[x] for x in touched))
         for u in range(graph.vertex_count):
+            if u in lone:
+                continue
             budget.spend()
             if u not in a and _gain(sol, squares, (u,)) > 0:
                 return view.swap(a, (u,))
+            lone.add(u)
         for v in sorted(a):
+            if v in centers:
+                continue
             cands = [u for u in graph.neighbors[v] if u not in a]
             limit = max_talons if max_talons is not None else len(cands)
             talons = _first_improvement(
@@ -513,6 +623,7 @@ def square_imp(
             )
             if talons is not None:
                 return view.swap(a, talons)
+            centers.add(v)
         return None
 
     return _search(frozenset(), step, stats)
@@ -540,6 +651,8 @@ def rescale_floor_weights(
 ) -> tuple[list[Fraction], Fraction]:
     """Rescale all weights so the base solution weighs exactly k*n, then
     floor.  Returns (floored weights, scale).  Floors may be zero."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     base_weight = total_weight(graph, base)
     if base_weight <= 0:
         raise ValueError("base solution must have positive weight")

@@ -9,6 +9,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import Sequence
 
 from ksetpack import (
     ORACLE_CAP,
@@ -19,6 +20,7 @@ from ksetpack import (
     Instance,
     Multigraph,
     Packing,
+    SearchStats,
     WorkBudget,
     apply_claw,
     build_auxiliary_multigraph,
@@ -27,6 +29,8 @@ from ksetpack import (
     is_packing,
 )
 from ksetpack.lp import EQ, LEQ, LinearProgram, LpSolution, check_lp
+from ksetpack.util import integral
+from ksetpack.weighted import _first_improvement, _gain, _search, _SolutionNeighbors
 
 
 def brute_max_weight_independent(
@@ -686,3 +690,40 @@ def reference_max_independent_set_exact(
 
     explore(set(range(n)), [], Fraction(0))
     return best_members
+
+
+# square_imp as it was before its verdicts carried from one step to the
+# next: every step rescans every vertex and every center.
+def reference_square_imp(
+    graph: ConflictGraph,
+    weights: Sequence[Fraction] | None = None,
+    max_talons: int | None = None,
+    budget: WorkBudget | None = None,
+    stats: SearchStats | None = None,
+) -> frozenset[int]:
+    """Accept any claw whose talon swap strictly increases the sum of
+    squared weights; stop when none exists.  Centers are scanned in
+    ascending id (1-claws first), talon subsets by size then lex; each
+    accepted swap strictly increases w²(A), so the loop terminates."""
+    w = weights if weights is not None else graph.weights
+    budget = budget if budget is not None else WorkBudget()
+    squares = integral([x * x for x in w])
+    view = _SolutionNeighbors(graph)
+
+    def step(a: frozenset[int]) -> frozenset[int] | None:
+        sol = view.at(a)
+        for u in range(graph.vertex_count):
+            budget.spend()
+            if u not in a and _gain(sol, squares, (u,)) > 0:
+                return view.swap(a, (u,))
+        for v in sorted(a):
+            cands = [u for u in graph.neighbors[v] if u not in a]
+            limit = max_talons if max_talons is not None else len(cands)
+            talons = _first_improvement(
+                view.nbr, sol, squares, cands, min(limit, len(cands)), budget
+            )
+            if talons is not None:
+                return view.swap(a, talons)
+        return None
+
+    return _search(frozenset(), step, stats)

@@ -8,6 +8,7 @@ from helpers import (
     random_state,
     reference_nice_claw,
     reference_nice_claw_loop,
+    reference_square_imp,
 )
 from hypothesis import given
 from hypothesis import strategies as st
@@ -39,6 +40,7 @@ from ksetpack.weighted import (
     _first_improvement,
     _nice_claw_step,
     _search,
+    _t_swap_step,
     rescale_floor_weights,
 )
 
@@ -450,6 +452,67 @@ class TestFirstImprovement:
         assert got == brute_first_improvement(g, a, potential, candidates, t)
 
 
+@st.composite
+def step_runs(draw):
+    """A random graph (n <= 11), a unit or small-integer potential, a swap
+    size t, and an independent start."""
+    n = draw(st.integers(min_value=1, max_value=11))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = ConflictGraph.from_edges(n, [e for e, kept in zip(pairs, keep) if kept])
+    integers = st.lists(st.integers(0, 4), min_size=n, max_size=n)
+    potential = draw(st.one_of(st.just([1] * n), integers))
+    a: set[int] = set()
+    for v in draw(st.permutations(range(n))):
+        if draw(st.booleans()) and not any(u in a for u in g.neighbors[v]):
+            a.add(v)
+    return g, potential, draw(st.integers(1, 3)), frozenset(a)
+
+
+class TestTSwapStep:
+    """The step keeps its verdicts from one call to the next; each answer
+    must still be the brute-force first improvement on the A it is given."""
+
+    @given(step_runs(), st.randoms(use_true_random=False))
+    def test_every_step_is_brute_force_first(self, run, rng):
+        g, potential, t, a = run
+        step = _t_swap_step(g, potential, t, WorkBudget())
+        for _ in range(12):
+            outside = [u for u in range(g.vertex_count) if u not in a]
+            combo = brute_first_improvement(g, a, potential, outside, t)
+            got = step(a)
+            if combo is None:
+                assert got is None
+            else:
+                removed = {x for u in combo for x in g.neighbors[u] if x in a}
+                assert got == (a - removed) | set(combo)
+            if got is not None and rng.random() < 0.7:
+                a = got
+            elif rng.random() < 0.5:
+                # an A the step did not return: some members dropped
+                a = frozenset(v for v in got or a if rng.random() < 0.6)
+            else:
+                a = random_state(g, rng)
+
+    def test_swap_reopens_an_anchor_one_link_away(self):
+        # A = {2, 3}.  Anchor 0 has no improving pair, and {4, 5} replaces
+        # 3.  Then 1's only solution neighbour is 2, and {0, 1} trades 2
+        # for two: anchor 0 is untouched, one link from the touched 1.
+        g = ConflictGraph.from_edges(6, [(0, 2), (1, 2), (1, 3), (3, 4), (3, 5)])
+        step = _t_swap_step(g, [1] * 6, 2, WorkBudget())
+        a = step(frozenset({2, 3}))
+        assert a == frozenset({2, 4, 5})
+        assert step(a) == frozenset({0, 1, 4, 5})
+
+    def test_outside_change_resets_the_verdicts(self):
+        # path 0-1-2: from {1} no swap of one vertex improves, and both
+        # ends stay verified.  Dropping 1 from outside frees them.
+        g = ConflictGraph.from_edges(3, [(0, 1), (1, 2)])
+        step = _t_swap_step(g, [1, 1, 1], 1, WorkBudget())
+        assert step(frozenset({1})) is None
+        assert step(frozenset()) == frozenset({0})
+
+
 class TestSquareImp:
     def test_worked_example(self, fig_graph):
         g, _, t = fig_graph
@@ -477,6 +540,34 @@ class TestSquareImp:
             g = conflict_graph(got)
             a = square_imp(g, max_talons=k)
             assert max_packing_value(got) / total_weight(g, a) <= F(k + 1, 2)
+
+    @given(claw_states(), st.sampled_from([None, 1, 2]))
+    def test_matches_reference(self, state, max_talons):
+        g, _, override = state
+        ours, theirs = WorkBudget(), WorkBudget()
+        got, expected = SearchStats(), SearchStats()
+        assert square_imp(g, override, max_talons, ours, got) == reference_square_imp(
+            g, override, max_talons, theirs, expected
+        )
+        assert got.iterations == expected.iterations
+        assert ours.spent <= theirs.spent
+
+    @pytest.mark.parametrize("max_talons", [None, 2])
+    def test_swap_reopens_a_center_next_to_it(self, max_talons):
+        # center 0 has no improving claw under A = {0, 1}; the claw {4, 5}
+        # at center 1 takes 1 out, and {2, 3} at center 0 then improves
+        g = ConflictGraph.from_edges(
+            6, [(0, 2), (0, 3), (1, 2), (1, 4), (1, 5)], [F(3), F(3), F(3), F(1), F(3), F(3)]
+        )
+        stats = SearchStats()
+        assert square_imp(g, max_talons=max_talons, stats=stats) == frozenset({2, 3, 4, 5})
+        assert stats.iterations == 4
+
+    @pytest.mark.parametrize("max_talons", [0, -2])
+    def test_rejects_max_talons_below_one(self, max_talons):
+        g = conflict_graph(gen_random(30, 20, 3, 1, weight_range=(F(1), F(5))))
+        with pytest.raises(ValueError, match="max_talons must be >= 1"):
+            square_imp(g, max_talons=max_talons)
 
     def test_max_talons_limits_swaps(self):
         # triangle-free star: center 0 in, three independent talons improve
@@ -528,6 +619,15 @@ class TestRescaledRun:
         g = ConflictGraph.from_edges(2, [])
         with pytest.raises(ValueError):
             rescale_floor_weights(g, frozenset(), 3)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_k_below_one(self, k):
+        # k = 0 floored every weight to 0; k = -1 made the claw loop cycle
+        g = conflict_graph(gen_random(30, 20, 3, 1, weight_range=(F(1), F(5))))
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            rescale_floor_weights(g, greedy_weighted(g), k)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            rescaled_run(g, k, WorkBudget(limit=200_000))
 
     def test_matches_wishful_on_unit_weights(self):
         rng = random.Random(52)
