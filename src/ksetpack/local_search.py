@@ -5,15 +5,15 @@ The t-swap search is the swap engine of `weighted` with unit potential: a
 swap of at most t outside sets must raise the packing's cardinality.  It
 runs on the conflict graph, built once per search.
 
-The auxiliary-multigraph route comes with a caveat: a dense subgraph of the
-auxiliary graph does NOT necessarily yield a usable improvement, because the
-outside sets behind its edges may intersect each other.  Every candidate is
-therefore validated before being returned, and callers must expect none.
-Its search beyond the constructive route probes connected vertex sets only,
-with the swap engine's enumerator, and grows only sets whose edges carry
-pairwise disjoint sets.  A disconnected validated set has a validated
-component of smaller size, so it returns the same set as probing every
-subset by size, then lex order.
+A dense subgraph of the auxiliary multigraph (more edges than vertices)
+does NOT necessarily yield an improvement, because the outside sets behind
+its edges may intersect each other.  So the log-size search probes
+connected member sets with the swap engine's enumerator, on its
+solution-neighbour view, and grows only sets whose edges' sets are
+pairwise non-adjacent in the conflict graph: the first dense one is an
+improving swap.  A disconnected such set has a dense component of smaller
+size, so the result is the same as probing every subset by size, then lex
+order.
 """
 from __future__ import annotations
 
@@ -21,15 +21,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .instance import (
-    Instance,
-    Packing,
-    conflict_graph,
-    is_packing,
-)
-from .multigraph import Multigraph, find_dense_subgraph
+from .instance import Instance, Packing, conflict_graph, is_packing
+from .multigraph import Multigraph
 from .util import SearchStats, WorkBudget
-from .weighted import _connected_layers, _search, _t_swap_step
+from .weighted import _connected_layers, _search, _SolutionNeighbors, _t_swap_step
 
 
 @dataclass(frozen=True)
@@ -41,13 +36,19 @@ class ImprovingSet:
     outgoing: tuple[int, ...]
 
 
+def _view(instance: Instance, packing: Packing) -> _SolutionNeighbors:
+    """The swap engine's view of the conflict graph, after checking that
+    the packing is one."""
+    if not is_packing(instance, packing):
+        raise ValueError("packing is not pairwise disjoint")
+    return _SolutionNeighbors(conflict_graph(instance))
+
+
 def _unit_swap_step(instance: Instance, packing: Packing, t: int, budget):
     """The engine's t-swap step with unit potential, after input checks."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    if not is_packing(instance, packing):
-        raise ValueError("packing is not pairwise disjoint")
-    return _t_swap_step(conflict_graph(instance), [1] * instance.n, t, budget)
+    return _t_swap_step(_view(instance, packing), [1] * instance.n, t, budget)
 
 
 def find_improving_set(
@@ -68,18 +69,6 @@ def find_improving_set(
     )
 
 
-def _outgoing(instance: Instance, members, incoming) -> set[int] | None:
-    """The members that the incoming sets meet, or None when two incoming
-    sets meet each other."""
-    occupied: set[int] = set()
-    for i in incoming:
-        elems = instance.sets[i]
-        if any(e in occupied for e in elems):
-            return None
-        occupied.update(elems)
-    return {m for m in members if any(e in occupied for e in instance.sets[m])}
-
-
 def apply_improving_set(
     instance: Instance, packing: Packing, imp: ImprovingSet
 ) -> Packing:
@@ -94,9 +83,12 @@ def apply_improving_set(
     for i in incoming:
         if not (0 <= i < instance.n):
             raise ValueError(f"incoming index {i} out of range")
-    outgoing = _outgoing(instance, members, incoming)
-    if outgoing is None:
-        raise ValueError("incoming sets are not pairwise disjoint")
+    occupied: set[int] = set()
+    for i in incoming:
+        if any(e in occupied for e in instance.sets[i]):
+            raise ValueError("incoming sets are not pairwise disjoint")
+        occupied.update(instance.sets[i])
+    outgoing = {m for m in members if any(e in occupied for e in instance.sets[m])}
     if outgoing != set(imp.outgoing):
         raise ValueError("stale improving set: outgoing does not match packing")
     if len(incoming) <= len(outgoing):
@@ -136,35 +128,76 @@ def hs_bound(k: int, t: int) -> Fraction:
     return Fraction(k * p - 2, 2 * p - 2)
 
 
+def _auxiliary_edges(sol, include_loops: bool):
+    """The auxiliary multigraph under the solution neighbours `sol`: an
+    outside set meeting exactly two members is an edge between them (one
+    member: a loop, if include_loops).  Yields (set, its members sorted)
+    by ascending set."""
+    for u, ends in enumerate(sol):
+        if len(ends) == 2 or (include_loops and len(ends) == 1):
+            yield u, sorted(ends)
+
+
 def build_auxiliary_multigraph(
     instance: Instance, packing: Packing, include_loops: bool
 ) -> tuple[Multigraph, tuple[int, ...]]:
-    """One vertex per packing member; each outside set meeting exactly two
-    members becomes an edge between them (exactly one member: a loop, if
-    include_loops).  Returns the multigraph and, per edge, the outside set
-    index that produced it."""
-    if not is_packing(instance, packing):
-        raise ValueError("packing is not pairwise disjoint")
-    members = list(packing.members)
-    member_pos = {m: i for i, m in enumerate(members)}
-    member_elements = [frozenset(instance.sets[m]) for m in members]
-    edges: list[tuple[int, int]] = []
-    labels: list[int] = []
-    for f in range(instance.n):
-        if f in member_pos:
-            continue
-        elems = frozenset(instance.sets[f])
-        hits = [i for i, me in enumerate(member_elements) if me & elems]
-        if len(hits) == 2:
-            edges.append((hits[0], hits[1]))
-            labels.append(f)
-        elif len(hits) == 1 and include_loops:
-            edges.append((hits[0], hits[0]))
-            labels.append(f)
-    return (
-        Multigraph(vertex_count=len(members), edges=tuple(edges)),
-        tuple(labels),
+    """One vertex per packing member, in member order, and the edges of
+    `_auxiliary_edges`.  Returns the multigraph and, per edge, the outside
+    set index that produced it."""
+    sol = _view(instance, packing).at(frozenset(packing.members))
+    pos = {m: i for i, m in enumerate(packing.members)}
+    edges = list(_auxiliary_edges(sol, include_loops))
+    ends = tuple((pos[e[0]], pos[e[-1]]) for _, e in edges)
+    return Multigraph(len(packing.members), ends), tuple(u for u, _ in edges)
+
+
+def _positive(epsilon) -> Fraction:
+    eps = Fraction(epsilon)
+    if eps <= 0:
+        raise ValueError("epsilon must be positive")
+    return eps
+
+
+def _log_swap(view: _SolutionNeighbors, a: frozenset[int], eps: Fraction, budget):
+    """The incoming sets, ascending, of the first connected set of at most
+    4*(1 + 1/eps)*log2(|A|) members, by size then lex order, that induces
+    more auxiliary edges than members and whose edges' sets are pairwise
+    disjoint; or None."""
+    members = sorted(a)
+    if len(members) < 2:
+        return None
+    size_cap = min(len(members), math.floor(4 * (1 + 1 / eps) * math.log2(len(members)) + 1e-9))
+    edges = list(_auxiliary_edges(view.at(a), include_loops=False))
+    # member -> adjacent member -> the outside sets behind their edges
+    between: dict[int, dict[int, list[int]]] = {m: {} for m in members}
+    for u, (b, c) in edges:
+        between[b].setdefault(c, []).append(u)
+        between[c].setdefault(b, []).append(u)
+    nbr = view.nbr
+
+    def grow(x, w, state):
+        # (edges minus vertices, the induced edges' sets); two sets overlap
+        # exactly when they are adjacent
+        excess, used = state
+        fresh = [u for c in x for u in between[w].get(c, ())]
+        met = used.union(fresh)
+        if any(not nbr[u].isdisjoint(met) for u in fresh):
+            return None
+        return excess - 1 + len(fresh), met
+
+    layers = _connected_layers(
+        members,
+        [set() for _ in range(size_cap)],
+        between.__getitem__,
+        grow,
+        (0, frozenset()),
+        lambda state: state[0] > 0,
+        budget,
     )
+    for dense_sets in layers:
+        x = set(dense_sets[0])
+        return tuple(u for u, (b, c) in edges if b in x and c in x)
+    return None
 
 
 def log_improvement_search(
@@ -176,76 +209,20 @@ def log_improvement_search(
     """Search for an improving set through dense subgraphs of the auxiliary
     multigraph, within the size bound 4*(1 + 1/eps)*log2(|packing|).
 
-    Tries the constructive dense-subgraph procedure when the density
-    precondition holds, then every connected vertex set up to the bound
-    whose edges' sets are pairwise disjoint, by size, then lex order.  Every
-    candidate is validated (incoming pairwise disjoint, strictly improving);
-    invalid candidates are skipped, and None means no validated improvement
-    was found -- not that none exists of larger size.
+    Returns the first connected vertex set up to the bound, by size, then
+    lex order, that induces more edges than vertices and whose edges' sets
+    are pairwise disjoint: those sets come in, and the members they meet
+    leave.  None means no such set exists within the bound -- not that no
+    improvement of larger size does.
     """
-    eps = Fraction(epsilon)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
-    budget = budget if budget is not None else WorkBudget()
-    aux, labels = build_auxiliary_multigraph(instance, packing, include_loops=False)
-    n_aux = aux.vertex_count
-    if n_aux < 2:
+    eps = _positive(epsilon)
+    view = _view(instance, packing)
+    a = frozenset(packing.members)
+    incoming = _log_swap(view, a, eps, budget if budget is not None else WorkBudget())
+    if incoming is None:
         return None
-    size_cap = min(n_aux, math.floor(4 * (1 + 1 / eps) * math.log2(n_aux) + 1e-9))
-
-    def candidate_from(x: frozenset[int] | set[int]) -> ImprovingSet | None:
-        eids = [
-            i for i, (a, b) in enumerate(aux.edges) if a in x and b in x
-        ]
-        incoming = sorted(labels[i] for i in eids)
-        outgoing = _outgoing(instance, packing.members, incoming)
-        # None: the dense subgraph lied, its sets intersect
-        if outgoing is None or len(incoming) <= len(outgoing):
-            return None
-        return ImprovingSet(incoming=tuple(incoming), outgoing=tuple(sorted(outgoing)))
-
-    h = math.ceil(1 / eps)
-    if h * len(aux.edges) >= (h + 1) * n_aux:
-        dense = find_dense_subgraph(aux, h)
-        if len(dense) <= size_cap:
-            found = candidate_from(dense)
-            if found is not None:
-                return found
-    # A set is validated iff it is dense and the sets behind its induced
-    # edges are pairwise disjoint; the second holds for every subset too, so
-    # a set that breaks it is not grown.  The first validated set is
-    # connected: a dense component of a disconnected one is validated at a
-    # smaller size.
-    between: list[dict[int, list[int]]] = [{} for _ in range(n_aux)]
-    for (a, b), f in zip(aux.edges, labels):
-        between[a].setdefault(b, []).append(f)
-        between[b].setdefault(a, []).append(f)
-
-    def grow(members, w, state):
-        # (edges minus vertices, elements of the induced edges' sets)
-        excess, used = state
-        fresh = [f for c in members for f in between[w].get(c, ())]
-        elems = [e for f in fresh for e in instance.sets[f]]
-        met = used.union(elems)
-        if len(met) < len(used) + len(elems):
-            return None
-        return excess - 1 + len(fresh), met
-
-    layers = _connected_layers(
-        range(n_aux),
-        [set() for _ in range(size_cap)],
-        between.__getitem__,
-        grow,
-        (0, frozenset()),
-        lambda state: state[0] > 0,
-        budget,
-    )
-    for dense_sets in layers:
-        for x in dense_sets:
-            found = candidate_from(set(x))
-            if found is not None:
-                return found
-    return None
+    outgoing = set().union(*(view.at(a)[u] for u in incoming))
+    return ImprovingSet(incoming=incoming, outgoing=tuple(sorted(outgoing)))
 
 
 def log_local_search(
@@ -256,20 +233,25 @@ def log_local_search(
 ) -> Packing:
     """Interleave plain 2-swaps with the logarithmic-size multigraph search:
     each step applies the first 2-swap, or when the packing is 2-locally
-    optimal, one larger improving set; stop when both come up empty.  One
-    conflict graph serves the whole run.  Terminates because every applied
+    optimal, the first log-size swap; stop when both come up empty.  Both
+    run on one solution-neighbour view of one conflict graph, so the 2-swap
+    verdicts outlive a log-size swap.  Terminates because every applied
     swap strictly grows the packing."""
+    eps = _positive(epsilon)
     budget = budget if budget is not None else WorkBudget()
-    two_swap = _unit_swap_step(instance, Packing(members=()), 2, budget)
+    view = _SolutionNeighbors(conflict_graph(instance))
+    two_swap = _t_swap_step(view, [1] * instance.n, 2, budget)
 
     def step(a: frozenset[int]) -> frozenset[int] | None:
         after = two_swap(a)
         if after is not None:
             return after
-        packing = Packing(members=tuple(sorted(a)))
-        imp = log_improvement_search(instance, packing, epsilon, budget)
-        if imp is None:
+        incoming = _log_swap(view, a, eps, budget)
+        if incoming is None:
             return None
-        return frozenset(apply_improving_set(instance, packing, imp).members)
+        after = view.swap(a, incoming)
+        if len(after) <= len(a):
+            raise RuntimeError("internal: log-size swap did not grow the packing")
+        return after
 
     return Packing(members=tuple(sorted(_search(frozenset(), step, stats))))

@@ -19,11 +19,13 @@ gain adds up over the link components of a set, so at the first size with
 an improving set every improving set is connected, and the lex-first swap
 over all subsets is found among the connected ones.  They are enumerated
 by least vertex in the manner of Wernicke's ESU (`_connected_sets`), which
-`local_search.log_improvement_search` runs too.  The margin of non-integer
+the log-size search of `local_search` runs too.  The margin of non-integer
 alpha does not add up over components, so that path keeps the enumeration
 of every non-adjacent subset.  Each vertex's solution neighbours are built
 once per run and updated, per swap, for the vertices the swap touched: the
-neighbours of the members that left or came in.  The verdicts of a step
+neighbours of the members that left or came in.  The 2-swap phase and the
+log-size search of `local_search.log_local_search` share one such view, and
+the log-size swaps are applied on it like any other.  The verdicts of a step
 carry to the next: the t-swap step keeps its links and, per size, the
 anchors with no improving set (`_Verdicts`), and SquareImp keeps the
 vertices with no improving 1-claw and the centers with no improving claw.
@@ -341,21 +343,20 @@ class _SolutionNeighbors:
         return after
 
 
-def _t_swap_step(graph: ConflictGraph, potential, t: int, budget, margin=None) -> _Step:
+def _t_swap_step(view: _SolutionNeighbors, potential, t: int, budget, margin=None) -> _Step:
     """Swaps of at most t outside vertices that raise the potential; with a
     `margin`, the rise must exceed margin * (|p(A)| + 1).  The verdicts of
     one step carry to the next (`_Verdicts`), so a step re-searches only
     what the last swap touched.  The margin does not add up over link
     components, so that path probes every non-adjacent subset, every step."""
     budget = budget if budget is not None else WorkBudget()
-    view = _SolutionNeighbors(graph)
     verdicts = _Verdicts(t)
     if margin is None:
         potential = integral(potential)
 
     def step(a: frozenset[int]) -> frozenset[int] | None:
         sol = view.at(a)
-        outside = [u for u in range(graph.vertex_count) if u not in a]
+        outside = [u for u in range(view.graph.vertex_count) if u not in a]
         if margin is None:
             verdicts.forget(view.take_touched(), view.nbr, sol, a)
             incoming = _first_improvement(view.nbr, sol, potential, outside, t, budget, verdicts)
@@ -555,6 +556,8 @@ def wishful_thinking(
 ) -> frozenset[int]:
     """Apply nice claws until none remains.  On a claw_bound-claw-free graph
     the result is within factor claw_bound/2 of the best independent set."""
+    if claw_bound < 1:
+        raise ValueError("claw_bound must be >= 1")
     budget = budget if budget is not None else WorkBudget()
     if check_claw_free:
         _assert_claw_free(graph, claw_bound, budget)
@@ -711,4 +714,5 @@ def power_local_search(
                 for w in graph.weights
             ]
             margin = Decimal(10) ** (10 - DECIMAL_PRECISION)
-        return _search(a, _t_swap_step(graph, powers, t, budget, margin), stats)
+        step = _t_swap_step(_SolutionNeighbors(graph), powers, t, budget, margin)
+        return _search(a, step, stats)

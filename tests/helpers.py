@@ -23,8 +23,9 @@ from ksetpack import (
     SearchStats,
     WorkBudget,
     apply_claw,
+    apply_improving_set,
     build_auxiliary_multigraph,
-    find_dense_subgraph,
+    find_improving_set,
     induced_edge_count,
     is_packing,
 )
@@ -228,8 +229,7 @@ def reference_nice_claw_loop(graph: ConflictGraph, a, weights=None, budget=None)
 
 def exhaustive_log_improvement(instance: Instance, packing: Packing, epsilon: Fraction):
     """The log-size improvement search with every subset of the auxiliary
-    multigraph's vertices probed, by size then lex order, up to the size
-    bound, after the constructive dense-subgraph route."""
+    multigraph's vertices probed, by size then lex order, up to the bound."""
     aux, labels = build_auxiliary_multigraph(instance, packing, include_loops=False)
     n_aux = aux.vertex_count
     if n_aux < 2:
@@ -248,13 +248,6 @@ def exhaustive_log_improvement(instance: Instance, packing: Packing, epsilon: Fr
             return None
         return ImprovingSet(incoming=tuple(incoming), outgoing=tuple(outgoing))
 
-    h = math.ceil(1 / epsilon)
-    if h * len(aux.edges) >= (h + 1) * n_aux:
-        dense = find_dense_subgraph(aux, h)
-        if len(dense) <= size_cap:
-            found = candidate_from(dense)
-            if found is not None:
-                return found
     for size in range(1, size_cap + 1):
         for subset in itertools.combinations(range(n_aux), size):
             x = set(subset)
@@ -263,6 +256,22 @@ def exhaustive_log_improvement(instance: Instance, packing: Packing, epsilon: Fr
                 if found is not None:
                     return found
     return None
+
+
+def reference_log_local_search(instance: Instance, epsilon: Fraction):
+    """The log-size local search from one-step public functions: the first
+    2-swap when there is one, else the exhaustive log-size search, each
+    applied through `apply_improving_set`.  Returns the packing and the kind
+    of each applied swap ("2" or "log")."""
+    packing, kinds = Packing(()), []
+    while True:
+        imp, kind = find_improving_set(instance, packing, 2), "2"
+        if imp is None:
+            imp, kind = exhaustive_log_improvement(instance, packing, epsilon), "log"
+            if imp is None:
+                return packing, kinds
+        packing = apply_improving_set(instance, packing, imp)
+        kinds.append(kind)
 
 
 def random_state(graph: ConflictGraph, rng: random.Random) -> frozenset[int]:

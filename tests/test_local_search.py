@@ -2,7 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import brute_find_improving, exhaustive_log_improvement
+from helpers import (
+    brute_find_improving,
+    exhaustive_log_improvement,
+    reference_log_local_search,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -336,3 +340,22 @@ class TestLogLocalSearch:
     def test_deterministic(self):
         got = gen_random(12, 14, 3, seed=77)
         assert log_local_search(got, Fraction(1)) == log_local_search(got, Fraction(1))
+
+    def test_rejects_bad_epsilon_before_any_work(self):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            log_local_search(gen_random(30, 20, 3, 1), 0, budget=WorkBudget(limit=50))
+
+    def test_matches_one_step_reference(self):
+        # the 2-swap verdicts outlive a log-size swap: a 2-swap step after
+        # one must still find the swap a fresh search finds
+        followed = 0
+        for n in (20, 24, 30):
+            for seed in range(1, 15):
+                instance, _ = planted_log_improvement(n, seed)
+                for eps in (Fraction(1, 2), Fraction(1)):
+                    want, kinds = reference_log_local_search(instance, eps)
+                    stats = SearchStats()
+                    assert log_local_search(instance, eps, stats=stats) == want
+                    assert stats.iterations == len(kinds)
+                    followed += ("log", "2") in zip(kinds, kinds[1:])
+        assert followed >= 10

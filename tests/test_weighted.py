@@ -40,6 +40,7 @@ from ksetpack.weighted import (
     _first_improvement,
     _nice_claw_step,
     _search,
+    _SolutionNeighbors,
     _t_swap_step,
     rescale_floor_weights,
 )
@@ -323,6 +324,15 @@ class TestWishfulThinking:
         assert wishful_thinking(star, 5) == frozenset({1, 2, 3, 4})
         assert wishful_thinking(star, 4, check_claw_free=False) is not None
 
+    @pytest.mark.parametrize("check", [True, False])
+    @pytest.mark.parametrize("claw_bound", [0, -1])
+    def test_rejects_claw_bound_below_one(self, fig_graph, claw_bound, check):
+        g, _, _ = fig_graph
+        budget = WorkBudget()
+        with pytest.raises(ValueError, match="claw_bound must be >= 1"):
+            wishful_thinking(g, claw_bound, budget=budget, check_claw_free=check)
+        assert budget.spent == 0
+
     @pytest.mark.parametrize("leaves", [10, 30])
     def test_claw_free_check_on_stars_either_side_of_guard(self, leaves):
         edges = [(0, v) for v in range(1, leaves + 1)]
@@ -476,7 +486,7 @@ class TestTSwapStep:
     @given(step_runs(), st.randoms(use_true_random=False))
     def test_every_step_is_brute_force_first(self, run, rng):
         g, potential, t, a = run
-        step = _t_swap_step(g, potential, t, WorkBudget())
+        step = _t_swap_step(_SolutionNeighbors(g), potential, t, WorkBudget())
         for _ in range(12):
             outside = [u for u in range(g.vertex_count) if u not in a]
             combo = brute_first_improvement(g, a, potential, outside, t)
@@ -499,7 +509,7 @@ class TestTSwapStep:
         # 3.  Then 1's only solution neighbour is 2, and {0, 1} trades 2
         # for two: anchor 0 is untouched, one link from the touched 1.
         g = ConflictGraph.from_edges(6, [(0, 2), (1, 2), (1, 3), (3, 4), (3, 5)])
-        step = _t_swap_step(g, [1] * 6, 2, WorkBudget())
+        step = _t_swap_step(_SolutionNeighbors(g), [1] * 6, 2, WorkBudget())
         a = step(frozenset({2, 3}))
         assert a == frozenset({2, 4, 5})
         assert step(a) == frozenset({0, 1, 4, 5})
@@ -508,7 +518,7 @@ class TestTSwapStep:
         # path 0-1-2: from {1} no swap of one vertex improves, and both
         # ends stay verified.  Dropping 1 from outside frees them.
         g = ConflictGraph.from_edges(3, [(0, 1), (1, 2)])
-        step = _t_swap_step(g, [1, 1, 1], 1, WorkBudget())
+        step = _t_swap_step(_SolutionNeighbors(g), [1, 1, 1], 1, WorkBudget())
         assert step(frozenset({1})) is None
         assert step(frozenset()) == frozenset({0})
 
