@@ -48,7 +48,8 @@ def _unit_swap_step(instance: Instance, packing: Packing, t: int, budget):
     """The engine's t-swap step with unit potential, after input checks."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    return _t_swap_step(_view(instance, packing), [1] * instance.n, t, budget)
+    ones = [1] * instance.n
+    return _t_swap_step(_view(instance, packing), ones, ones, t, budget)
 
 
 def find_improving_set(
@@ -240,7 +241,8 @@ def log_local_search(
     eps = _positive(epsilon)
     budget = budget if budget is not None else WorkBudget()
     view = _SolutionNeighbors(conflict_graph(instance))
-    two_swap = _t_swap_step(view, [1] * instance.n, 2, budget)
+    ones = [1] * instance.n
+    two_swap = _t_swap_step(view, ones, ones, 2, budget)
 
     def step(a: frozenset[int]) -> frozenset[int] | None:
         after = two_swap(a)

@@ -70,21 +70,28 @@ def enumerate_maximal_cliques(
     nbr = [frozenset(graph.neighbors[v]) for v in range(n)]
     found: list[tuple[int, ...]] = []
 
-    def expand(r: list[int], p: set[int], x: set[int]) -> None:
+    # frames (r, P, X, branches left) on a stack: no recursion per member
+    frames: list[tuple[tuple[int, ...], set[int], set[int], list[int]]] = []
+
+    def push(r: tuple[int, ...], p: set[int], x: set[int]) -> None:
         if not p and not x:
             found.append(tuple(sorted(r)))
             if len(found) > cap:
                 raise CapExceededError(f"more than {cap} maximal cliques")
             return
         pivot = max(sorted(p | x), key=lambda u: len(p & nbr[u]))
-        for v in sorted(p - nbr[pivot]):
-            r.append(v)
-            expand(r, p & nbr[v], x & nbr[v])
-            r.pop()
-            p.remove(v)
-            x.add(v)
+        frames.append((r, p, x, sorted(p - nbr[pivot], reverse=True)))
 
-    expand([], set(range(n)), set())
+    push((), set(range(n)), set())
+    while frames:
+        r, p, x, todo = frames[-1]
+        if not todo:
+            frames.pop()
+            continue
+        v = todo.pop()
+        push(r + (v,), p & nbr[v], x & nbr[v])
+        p.remove(v)
+        x.add(v)
     found.sort()
     return found
 

@@ -4,38 +4,38 @@ swap engine every local search of the package runs on.
 The engine keeps an independent set A and applies a first improving swap
 until none is left: add pairwise non-adjacent outside vertices, remove
 their solution neighbours.  Only the test of a swap differs between the
-searches: a rise in the sum of a potential p, with p = 1 for the
-Hurkens-Schrijver t-swap (`local_search.t_local_search`), p = w² for
-SquareImp and p = w^alpha for the misdirected power search; or, in
-Berman's nice-claw loops (WishfulThinking and the rescale-and-floor
-variant), talons whose charges pass half the center's weight.  The greedy
-baseline lives here too.  All comparisons are exact (rationals, scaled to
-integers by their common denominator) except non-integer alpha, which
-uses fixed-precision decimals with a documented margin.
+searches: the sum of a potential p over the incoming vertices must beat
+its sum over the members that leave, with p = 1 for the Hurkens-Schrijver
+t-swap (`local_search.t_local_search`), p = w² for SquareImp and p =
+w^alpha for the misdirected power search, whose non-integer alpha takes a
+lower bound on w^alpha for incoming vertices and an upper bound for
+leaving ones; or, in Berman's nice-claw loops (WishfulThinking and the
+rescale-and-floor variant), talons whose charges pass half the center's
+weight.  The greedy baseline lives here too.  All comparisons are in
+integers, scaled by a common denominator.
 
 A swap search probes only connected sets of outside vertices: two are
 linked when they are non-adjacent and share a solution neighbour.  The
-gain adds up over the link components of a set, so at the first size with
-an improving set every improving set is connected, and the lex-first swap
-over all subsets is found among the connected ones.  They are enumerated
-by least vertex in the manner of Wernicke's ESU (`_connected_sets`), which
-the log-size search of `local_search` runs too.  The margin of non-integer
-alpha does not add up over components, so that path keeps the enumeration
-of every non-adjacent subset.  Each vertex's solution neighbours are built
-once per run and updated, per swap, for the vertices the swap touched: the
-neighbours of the members that left or came in.  The 2-swap phase and the
-log-size search of `local_search.log_local_search` share one such view, and
-the log-size swaps are applied on it like any other.  The verdicts of a step
-carry to the next: the t-swap step keeps its links and, per size, the
-anchors with no improving set (`_Verdicts`), and SquareImp keeps the
-vertices with no improving 1-claw and the centers with no improving claw.
-A swap voids them only near the vertices it touched, so a step re-probes
-only what the last swap could have changed, and finds the same swap as a
-full search.  A solution that a step did not return voids them all.
-Every applied swap is checked for independence in full, once.  The
-nice-claw loops read their charges off the same view, doubled and in
-integers, and find talons by one depth-first search whose first branch is
-the greedy pick.
+gain is a sum of fixed terms, one per vertex, so it adds up over the link
+components of a set: at the first size with an improving set every
+improving set is connected, and the lex-first swap over all subsets is
+found among the connected ones.  They are enumerated by least vertex in
+the manner of Wernicke's ESU (`_connected_sets`), which the log-size
+search of `local_search` runs too.  Each vertex's solution neighbours are
+built once per run and updated, per swap, for the vertices the swap
+touched: the neighbours of the members that left or came in.  The 2-swap
+phase and the log-size search of `local_search.log_local_search` share one
+such view, and the log-size swaps are applied on it like any other.  The
+verdicts of a step carry to the next: the t-swap step keeps its links
+and, per size, the anchors with no improving set (`_Verdicts`), and
+SquareImp keeps the vertices with no improving 1-claw and the centers with
+no improving claw.  A swap voids them only near the vertices it touched,
+so a step re-probes only what the last swap could have changed, and finds
+the same swap as a full search.  A solution that a step did not return
+voids them all.  Every applied swap is checked for independence in full,
+once.  The nice-claw loops read their charges off the same view, doubled
+and in integers, and find talons by one depth-first search whose first
+branch is the greedy pick.
 
 Solution sets are frozensets of vertex ids.  Functions accept an optional
 weight override so callers can search under modified weights (rescaled,
@@ -178,13 +178,6 @@ def _connected_layers(anchors, verified, links, grow, start, keep, budget):
                     larger.add(anchor)
 
 
-def _gain(sol, potential, incoming) -> Fraction | Decimal | int:
-    """Rise of the potential's sum over A when `incoming` swaps in and its
-    solution neighbours leave."""
-    removed = set().union(*(sol[u] for u in incoming))
-    return sum(potential[u] for u in incoming) - sum(potential[x] for x in removed)
-
-
 def _linked(nbr, sol, w) -> set[int]:
     """The vertices linked to w: non-adjacent to w and sharing a solution
     neighbour with it.  Every neighbour of a member lies outside A."""
@@ -241,13 +234,14 @@ class _Verdicts:
             ring = further
 
 
-def _first_improvement(nbr, sol, potential, candidates, t, budget, verdicts=None):
+def _first_improvement(nbr, sol, gain, cost, candidates, t, budget, verdicts=None):
     """First subset of at most t candidates (ascending ids), by size then
-    lex order, whose swap raises the potential.  `sol[u]` is u's solution
-    neighbours.  `verdicts` carries the links and the verified anchors of
-    earlier steps (see `_Verdicts`), and holds only while every step's
-    candidates are all the vertices outside its A; the search skips the
-    verified anchors and records the ones it verifies.
+    lex order, whose swap has a positive gain: the sum of `gain` over the
+    subset minus the sum of `cost` over the members it displaces.  `sol[u]`
+    is u's solution neighbours.  `verdicts` carries the links and the
+    verified anchors of earlier steps (see `_Verdicts`), and holds only
+    while every step's candidates are all the vertices outside its A; the
+    search skips the verified anchors and records the ones it verifies.
 
     Link two candidates when they are non-adjacent and share a solution
     neighbour.  The removed members of two link components are disjoint, so
@@ -270,9 +264,9 @@ def _first_improvement(nbr, sol, potential, candidates, t, budget, verdicts=None
     def grow(members, w, state):
         if any(c in nbr[w] for c in members):
             return None
-        gain, removed = state
+        total, removed = state
         leaving = sol[w] - removed
-        return gain + potential[w] - sum(potential[x] for x in leaving), removed | leaving
+        return total + gain[w] - sum(cost[x] for x in leaving), removed | leaving
 
     layers = _connected_layers(
         candidates,
@@ -343,31 +337,21 @@ class _SolutionNeighbors:
         return after
 
 
-def _t_swap_step(view: _SolutionNeighbors, potential, t: int, budget, margin=None) -> _Step:
-    """Swaps of at most t outside vertices that raise the potential; with a
-    `margin`, the rise must exceed margin * (|p(A)| + 1).  The verdicts of
-    one step carry to the next (`_Verdicts`), so a step re-searches only
-    what the last swap touched.  The margin does not add up over link
-    components, so that path probes every non-adjacent subset, every step."""
+def _t_swap_step(view: _SolutionNeighbors, gain, cost, t: int, budget) -> _Step:
+    """Swaps of at most t outside vertices whose integer `gain` sum beats
+    the integer `cost` sum of the members that leave.  The verdicts of one
+    step carry to the next (`_Verdicts`), so a step re-searches only what
+    the last swap touched.  t is clamped to the vertex count, as no swap is
+    larger, so the verdicts kept stay small."""
     budget = budget if budget is not None else WorkBudget()
+    t = min(t, view.graph.vertex_count)
     verdicts = _Verdicts(t)
-    if margin is None:
-        potential = integral(potential)
 
     def step(a: frozenset[int]) -> frozenset[int] | None:
         sol = view.at(a)
         outside = [u for u in range(view.graph.vertex_count) if u not in a]
-        if margin is None:
-            verdicts.forget(view.take_touched(), view.nbr, sol, a)
-            incoming = _first_improvement(view.nbr, sol, potential, outside, t, budget, verdicts)
-        else:
-            threshold = margin * (abs(sum(potential[x] for x in a)) + 1)
-            subsets = (
-                subset
-                for size in range(1, t + 1)
-                for subset in _disjoint_subsets(outside, view.nbr, size, budget)
-            )
-            incoming = next((s for s in subsets if _gain(sol, potential, s) > threshold), None)
+        verdicts.forget(view.take_touched(), view.nbr, sol, a)
+        incoming = _first_improvement(view.nbr, sol, gain, cost, outside, t, budget, verdicts)
         return None if incoming is None else view.swap(a, incoming)
 
     return step
@@ -613,7 +597,7 @@ def square_imp(
             if u in lone:
                 continue
             budget.spend()
-            if u not in a and _gain(sol, squares, (u,)) > 0:
+            if u not in a and squares[u] > sum(squares[x] for x in sol[u]):
                 return view.swap(a, (u,))
             lone.add(u)
         for v in sorted(a):
@@ -622,7 +606,7 @@ def square_imp(
             cands = [u for u in graph.neighbors[v] if u not in a]
             limit = max_talons if max_talons is not None else len(cands)
             talons = _first_improvement(
-                view.nbr, sol, squares, cands, min(limit, len(cands)), budget
+                view.nbr, sol, squares, squares, cands, min(limit, len(cands)), budget
             )
             if talons is not None:
                 return view.swap(a, talons)
@@ -692,9 +676,11 @@ def power_local_search(
     From the greedy solution (or `start`), accept any swap of at most t
     incoming vertices that strictly increases the power objective, removing
     the incoming vertices' solution neighbors.  Integer alpha compares
-    exactly; fractional alpha is evaluated with `DECIMAL_PRECISION` decimal
-    digits and a swap must clear a relative margin of
-    10**(10 - DECIMAL_PRECISION) to count as an increase.
+    exactly.  Fractional alpha evaluates each w^alpha once, to
+    `DECIMAL_PRECISION` digits, as x; with m = 10**(10 - DECIMAL_PRECISION)
+    far above the decimal error (about 10**-59 relative), x*(1 - m) and
+    x*(1 + m) bound w^alpha.  A swap counts when the low bounds coming in
+    beat the high bounds leaving, so every swap raises the true sum.
     """
     alpha = Fraction(alpha)
     if alpha <= 0:
@@ -705,14 +691,18 @@ def power_local_search(
 
     with decimal.localcontext(decimal.Context(prec=DECIMAL_PRECISION)):
         if alpha.denominator == 1:
-            powers: list = [w ** alpha.numerator for w in graph.weights]
-            margin = None
+            low = high = [w ** alpha.numerator for w in graph.weights]
         else:
             alpha_d = Decimal(alpha.numerator) / Decimal(alpha.denominator)
             powers = [
                 (Decimal(w.numerator) / Decimal(w.denominator)) ** alpha_d
                 for w in graph.weights
             ]
-            margin = Decimal(10) ** (10 - DECIMAL_PRECISION)
-        step = _t_swap_step(_SolutionNeighbors(graph), powers, t, budget, margin)
-        return _search(a, step, stats)
+            m = Decimal(10) ** (10 - DECIMAL_PRECISION)
+            low = [x * (1 - m) for x in powers]
+            high = [x * (1 + m) for x in powers]
+    # one scale for both bounds, so the gain compares them exactly
+    bounds = integral(low + high)
+    n = graph.vertex_count
+    step = _t_swap_step(_SolutionNeighbors(graph), bounds[:n], bounds[n:], t, budget)
+    return _search(a, step, stats)

@@ -5,9 +5,11 @@ that is still instant.  The point is independence from the code under test.
 """
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
 
@@ -31,7 +33,7 @@ from ksetpack import (
 )
 from ksetpack.lp import EQ, LEQ, LinearProgram, LpSolution, check_lp
 from ksetpack.util import integral
-from ksetpack.weighted import _first_improvement, _gain, _search, _SolutionNeighbors
+from ksetpack.weighted import DECIMAL_PRECISION, _first_improvement, _search, _SolutionNeighbors
 
 
 def brute_max_weight_independent(
@@ -124,17 +126,53 @@ def all_pairs_conflict_graph(instance: Instance) -> ConflictGraph:
     return ConflictGraph.from_edges(instance.n, edges, instance.weights)
 
 
-def brute_first_improvement(graph: ConflictGraph, a, potential, candidates, t):
+def brute_first_improvement(graph: ConflictGraph, a, gain, cost, candidates, t):
     """First pairwise non-adjacent subset of at most t candidates, by size
-    then lex order, whose swap raises the sum of `potential` over A."""
+    then lex order, whose `gain` sum beats the `cost` sum of the members of
+    A it displaces."""
     for size in range(1, t + 1):
         for combo in itertools.combinations(sorted(candidates), size):
             if any(graph.adjacent(u, v) for u, v in itertools.combinations(combo, 2)):
                 continue
             removed = {x for u in combo for x in graph.neighbors[u] if x in a}
-            if sum(potential[u] for u in combo) > sum(potential[x] for x in removed):
+            if sum(gain[u] for u in combo) > sum(cost[x] for x in removed):
                 return combo
     return None
+
+
+def reference_power_local_search(graph: ConflictGraph, alpha: Fraction, t: int, start):
+    """`power_local_search` from `start` as it was for fractional alpha,
+    with a Decimal margin: each w^alpha to `DECIMAL_PRECISION` digits, and
+    a swap counts when its Decimal gain exceeds
+    10**(10 - DECIMAL_PRECISION) * (|p(A)| + 1).  Every step tries every
+    pairwise non-adjacent subset of at most t outside vertices, by size
+    then lex order.  Returns (solution, swaps applied)."""
+    with decimal.localcontext(decimal.Context(prec=DECIMAL_PRECISION)):
+        alpha_d = Decimal(alpha.numerator) / Decimal(alpha.denominator)
+        powers = [(Decimal(w.numerator) / Decimal(w.denominator)) ** alpha_d for w in graph.weights]
+        margin = Decimal(10) ** (10 - DECIMAL_PRECISION)
+        a, swaps = frozenset(start), 0
+        while True:
+            threshold = margin * (abs(sum(powers[x] for x in a)) + 1)
+            outside = [u for u in range(graph.vertex_count) if u not in a]
+
+            def removed(combo):
+                return {x for u in combo for x in graph.neighbors[u] if x in a}
+
+            def gain(combo):
+                return sum(powers[u] for u in combo) - sum(powers[x] for x in removed(combo))
+
+            subsets = (
+                combo
+                for size in range(1, t + 1)
+                for combo in itertools.combinations(outside, size)
+                if not any(graph.adjacent(u, v) for u, v in itertools.combinations(combo, 2))
+            )
+            combo = next((c for c in subsets if gain(c) > threshold), None)
+            if combo is None:
+                return a, swaps
+            a = (a - removed(combo)) | frozenset(combo)
+            swaps += 1
 
 
 def reference_nice_claw(graph: ConflictGraph, a, weights=None, budget=None):
@@ -723,13 +761,13 @@ def reference_square_imp(
         sol = view.at(a)
         for u in range(graph.vertex_count):
             budget.spend()
-            if u not in a and _gain(sol, squares, (u,)) > 0:
+            if u not in a and squares[u] > sum(squares[x] for x in sol[u]):
                 return view.swap(a, (u,))
         for v in sorted(a):
             cands = [u for u in graph.neighbors[v] if u not in a]
             limit = max_talons if max_talons is not None else len(cands)
             talons = _first_improvement(
-                view.nbr, sol, squares, cands, min(limit, len(cands)), budget
+                view.nbr, sol, squares, squares, cands, min(limit, len(cands)), budget
             )
             if talons is not None:
                 return view.swap(a, talons)

@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -107,6 +109,17 @@ class TestMaximalCliques:
             ]
             g = ConflictGraph.from_edges(n, edges)
             assert enumerate_maximal_cliques(g) == brute_maximal_cliques(g)
+
+    def test_large_clique_needs_no_recursion(self):
+        # one frame per clique member would pass a limit 100 above the caller
+        g = ConflictGraph.from_edges(150, list(itertools.combinations(range(150), 2)))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            cliques = enumerate_maximal_cliques(g)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert cliques == [tuple(range(150))]
 
     def test_cap(self):
         g = ConflictGraph.from_edges(5, [(i, i + 1) for i in range(4)])

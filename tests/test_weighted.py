@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from helpers import (
     random_state,
     reference_nice_claw,
     reference_nice_claw_loop,
+    reference_power_local_search,
     reference_square_imp,
 )
 from hypothesis import given
@@ -32,6 +34,7 @@ from ksetpack import (
     rescaled_run,
     square_imp,
     squared_weight,
+    t_local_search,
     total_weight,
     wishful_thinking,
 )
@@ -458,25 +461,28 @@ class TestFirstImprovement:
         g, potential, a, candidates, t = state
         nbr = [frozenset(g.neighbors[u]) for u in range(g.vertex_count)]
         sol = [set(nbr[u] & a) for u in range(g.vertex_count)]
-        got = _first_improvement(nbr, sol, potential, candidates, t, WorkBudget())
-        assert got == brute_first_improvement(g, a, potential, candidates, t)
+        got = _first_improvement(nbr, sol, potential, potential, candidates, t, WorkBudget())
+        assert got == brute_first_improvement(g, a, potential, potential, candidates, t)
 
 
 @st.composite
 def step_runs(draw):
-    """A random graph (n <= 11), a unit or small-integer potential, a swap
-    size t, and an independent start."""
+    """A random graph (n <= 11), a unit or small-integer potential for the
+    incoming vertices, the same or a cost at least as large for the leaving
+    members, a swap size t, and an independent start."""
     n = draw(st.integers(min_value=1, max_value=11))
     pairs = list(itertools.combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     g = ConflictGraph.from_edges(n, [e for e, kept in zip(pairs, keep) if kept])
     integers = st.lists(st.integers(0, 4), min_size=n, max_size=n)
-    potential = draw(st.one_of(st.just([1] * n), integers))
+    gain = draw(st.one_of(st.just([1] * n), integers))
+    raised = integers.map(lambda up: [x + y for x, y in zip(gain, up)])
+    cost = draw(st.one_of(st.just(gain), raised))
     a: set[int] = set()
     for v in draw(st.permutations(range(n))):
         if draw(st.booleans()) and not any(u in a for u in g.neighbors[v]):
             a.add(v)
-    return g, potential, draw(st.integers(1, 3)), frozenset(a)
+    return g, gain, cost, draw(st.integers(1, 3)), frozenset(a)
 
 
 class TestTSwapStep:
@@ -485,11 +491,11 @@ class TestTSwapStep:
 
     @given(step_runs(), st.randoms(use_true_random=False))
     def test_every_step_is_brute_force_first(self, run, rng):
-        g, potential, t, a = run
-        step = _t_swap_step(_SolutionNeighbors(g), potential, t, WorkBudget())
+        g, gain, cost, t, a = run
+        step = _t_swap_step(_SolutionNeighbors(g), gain, cost, t, WorkBudget())
         for _ in range(12):
             outside = [u for u in range(g.vertex_count) if u not in a]
-            combo = brute_first_improvement(g, a, potential, outside, t)
+            combo = brute_first_improvement(g, a, gain, cost, outside, t)
             got = step(a)
             if combo is None:
                 assert got is None
@@ -509,16 +515,34 @@ class TestTSwapStep:
         # 3.  Then 1's only solution neighbour is 2, and {0, 1} trades 2
         # for two: anchor 0 is untouched, one link from the touched 1.
         g = ConflictGraph.from_edges(6, [(0, 2), (1, 2), (1, 3), (3, 4), (3, 5)])
-        step = _t_swap_step(_SolutionNeighbors(g), [1] * 6, 2, WorkBudget())
+        step = _t_swap_step(_SolutionNeighbors(g), [1] * 6, [1] * 6, 2, WorkBudget())
         a = step(frozenset({2, 3}))
         assert a == frozenset({2, 4, 5})
         assert step(a) == frozenset({0, 1, 4, 5})
+
+    def test_huge_t_is_clamped_to_the_vertex_count(self):
+        # no swap is larger than the graph, so t = 10**4 on ten sets keeps
+        # verdicts for ten sizes only, and runs as t = 10 does
+        inst = gen_random(15, 10, 3, seed=1)
+        ones = [1] * inst.n
+        tracemalloc.start()
+        try:
+            _t_swap_step(_SolutionNeighbors(conflict_graph(inst)), ones, ones, 10**4, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        budgets, stats = (WorkBudget(), WorkBudget()), (SearchStats(), SearchStats())
+        huge = t_local_search(inst, 10**4, budgets[0], stats[0])
+        assert huge == t_local_search(inst, inst.n, budgets[1], stats[1])
+        assert stats[0].iterations == stats[1].iterations
+        assert budgets[0].spent == budgets[1].spent
 
     def test_outside_change_resets_the_verdicts(self):
         # path 0-1-2: from {1} no swap of one vertex improves, and both
         # ends stay verified.  Dropping 1 from outside frees them.
         g = ConflictGraph.from_edges(3, [(0, 1), (1, 2)])
-        step = _t_swap_step(_SolutionNeighbors(g), [1, 1, 1], 1, WorkBudget())
+        step = _t_swap_step(_SolutionNeighbors(g), [1, 1, 1], [1, 1, 1], 1, WorkBudget())
         assert step(frozenset({1})) is None
         assert step(frozenset()) == frozenset({0})
 
@@ -678,6 +702,30 @@ class TestPowerLocalSearch:
     def test_default_start_is_greedy(self, fig_graph):
         g, _, t = fig_graph
         assert power_local_search(g, F(3, 2), 2) == t
+
+    @pytest.mark.parametrize(
+        "w0, swaps", [(F(4), False), (F(3999, 1000), False), (F(4001, 1000), True)]
+    )
+    def test_ties_never_swap(self, w0, swaps):
+        # 4^(3/2) = 8 = 8 * 1^(3/2): vertex 0 against its eight unit members
+        g = ConflictGraph.from_edges(9, [(0, m) for m in range(1, 9)], [w0] + [F(1)] * 8)
+        members = frozenset(range(1, 9))
+        got = power_local_search(g, F(3, 2), 1, start=members)
+        assert got == (frozenset({0}) if swaps else members)
+
+    def test_matches_the_margin_search(self):
+        # the old rule compared Decimal gains against a relative margin and
+        # tried every non-adjacent subset; the bounds must swap the same
+        rng = random.Random(56)
+        for trial in range(8):
+            g = random_weighted_graph(rng, rng.randrange(6, 12), 0.3)
+            for alpha in (F(1, 2), F(3, 2), F(5, 3), F(8, 5)):
+                for t in (1, 2, 3):
+                    start, stats = random_state(g, rng), SearchStats()
+                    got = power_local_search(g, alpha, t, stats=stats, start=start)
+                    assert (got, stats.iterations) == reference_power_local_search(
+                        g, alpha, t, start
+                    )
 
     def test_result_independent_and_deterministic(self):
         rng = random.Random(54)
