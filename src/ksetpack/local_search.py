@@ -8,8 +8,8 @@ runs on the conflict graph, built once per search.
 A dense subgraph of the auxiliary multigraph (more edges than vertices)
 does NOT necessarily yield an improvement, because the outside sets behind
 its edges may intersect each other.  So the log-size search probes
-connected member sets with the swap engine's enumerator, on its
-solution-neighbour view, and grows only sets whose edges' sets are
+connected member sets with the swap engine's first-connected search, on
+its solution-neighbour view, and grows only sets whose edges' sets are
 pairwise non-adjacent in the conflict graph: the first dense one is an
 improving swap.  A disconnected such set has a dense component of smaller
 size, so the result is the same as probing every subset by size, then lex
@@ -24,7 +24,7 @@ from fractions import Fraction
 from .instance import Instance, Packing, conflict_graph, is_packing
 from .multigraph import Multigraph
 from .util import SearchStats, WorkBudget
-from .weighted import _connected_layers, _search, _SolutionNeighbors, _t_swap_step
+from .weighted import _first_connected, _search, _SolutionNeighbors, _t_swap_step
 
 
 @dataclass(frozen=True)
@@ -186,19 +186,11 @@ def _log_swap(view: _SolutionNeighbors, a: frozenset[int], eps: Fraction, budget
             return None
         return excess - 1 + len(fresh), met
 
-    layers = _connected_layers(
-        members,
-        [set() for _ in range(size_cap)],
-        between.__getitem__,
-        grow,
-        (0, frozenset()),
-        lambda state: state[0] > 0,
-        budget,
-    )
-    for dense_sets in layers:
-        x = set(dense_sets[0])
-        return tuple(u for u, (b, c) in edges if b in x and c in x)
-    return None
+    verified = [set() for _ in range(size_cap)]
+    dense = _first_connected(members, verified, between.__getitem__, grow, budget)
+    if dense is None:
+        return None
+    return tuple(u for u, (b, c) in edges if b in dense and c in dense)
 
 
 def log_improvement_search(

@@ -60,8 +60,10 @@ def enumerate_maximal_cliques(
 ) -> list[tuple[int, ...]]:
     """All maximal cliques, sorted, via Bron-Kerbosch with pivoting.
 
-    The pivot is the candidate dominating the most of P (lowest id on ties),
-    so only its non-neighbors spawn branches.  Raises CapExceededError as
+    The pivot is the first candidate, in id order, that sees |P| - 1 of P
+    or more, else the one seeing the most of P (lowest id on ties), so
+    only its non-neighbors spawn branches.  The cliques are sorted at the
+    end, so the pivot changes the work only.  Raises CapExceededError as
     soon as more than `cap` cliques have been reported.
     """
     n = graph.vertex_count
@@ -79,7 +81,13 @@ def enumerate_maximal_cliques(
             if len(found) > cap:
                 raise CapExceededError(f"more than {cap} maximal cliques")
             return
-        pivot = max(sorted(p | x), key=lambda u: len(p & nbr[u]))
+        pivot, most = None, -1
+        for u in sorted(p | x):  # one seeing |P| - 1 of P leaves one branch at most
+            seen = len(p & nbr[u])
+            if seen > most:
+                pivot, most = u, seen
+                if seen >= len(p) - 1:
+                    break
         frames.append((r, p, x, sorted(p - nbr[pivot], reverse=True)))
 
     push((), set(range(n)), set())

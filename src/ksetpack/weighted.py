@@ -15,27 +15,28 @@ weight.  The greedy baseline lives here too.  All comparisons are in
 integers, scaled by a common denominator.
 
 A swap search probes only connected sets of outside vertices: two are
-linked when they are non-adjacent and share a solution neighbour.  The
-gain is a sum of fixed terms, one per vertex, so it adds up over the link
+linked when they are non-adjacent and share a solution neighbour.  The gain
+is a sum of fixed terms, one per vertex, so it adds up over the link
 components of a set: at the first size with an improving set every
 improving set is connected, and the lex-first swap over all subsets is
-found among the connected ones.  They are enumerated by least vertex in
-the manner of Wernicke's ESU (`_connected_sets`), which the log-size
-search of `local_search` runs too.  Each vertex's solution neighbours are
-built once per run and updated, per swap, for the vertices the swap
-touched: the neighbours of the members that left or came in.  The 2-swap
-phase and the log-size search of `local_search.log_local_search` share one
-such view, and the log-size swaps are applied on it like any other.  The
-verdicts of a step carry to the next: the t-swap step keeps its links
-and, per size, the anchors with no improving set (`_Verdicts`), and
-SquareImp keeps the vertices with no improving 1-claw and the centers with
-no improving claw.  A swap voids them only near the vertices it touched,
-so a step re-probes only what the last swap could have changed, and finds
-the same swap as a full search.  A solution that a step did not return
-voids them all.  Every applied swap is checked for independence in full,
-once.  The nice-claw loops read their charges off the same view, doubled
-and in integers, and find talons by one depth-first search whose first
-branch is the greedy pick.
+found among the connected ones.  They are enumerated by least vertex in the
+manner of Wernicke's ESU (`_connected_sets`), and `_first_connected`
+returns the first that passes, for the log-size search of `local_search`
+too.  Each vertex's solution neighbours are built once per run and updated,
+per swap, for the vertices the swap touched: the neighbours of the members
+that left or came in.  The 2-swap phase and the log-size search of
+`local_search.log_local_search` share one such view, and the log-size
+swaps are applied on it like any other.  The verdicts of a step carry to
+the next: the t-swap step keeps its links and, per size, the anchors with
+no improving set (`_Verdicts`), and SquareImp keeps the vertices with no
+improving 1-claw and the centers with no improving claw.  A swap voids them
+only near the vertices it touched, so a step re-probes only what the last
+swap could have changed, and finds the same swap as a full search.  A
+solution that a step did not return voids them all.  Every applied swap is
+checked for independence in full, once.  The nice-claw loops read their
+charges off the same view, doubled and in integers, and find talons by one
+depth-first search whose first branch is the greedy pick; the claw-free
+check runs it with unit charges.
 
 Solution sets are frozensets of vertex ids.  Functions accept an optional
 weight override so callers can search under modified weights (rescaled,
@@ -84,31 +85,7 @@ def _check_independent(graph: ConflictGraph, a) -> frozenset[int]:
 _Step = Callable[[frozenset[int]], "frozenset[int] | None"]
 
 
-def _disjoint_subsets(candidates, nbr, size, budget):
-    """Yield all pairwise non-adjacent subsets of `candidates` of exactly
-    `size`, in lexicographic order, pruning conflicts as early as possible
-    and stopping a branch once too few candidates remain to reach `size`.
-    One work unit per probe."""
-
-    chosen: list[int] = []
-
-    def extend(start: int):
-        if len(chosen) == size:
-            yield tuple(chosen)
-            return
-        for idx in range(start, len(candidates) - (size - len(chosen)) + 1):
-            budget.spend()
-            c = candidates[idx]
-            if any(p in nbr[c] for p in chosen):
-                continue
-            chosen.append(c)
-            yield from extend(idx + 1)
-            chosen.pop()
-
-    yield from extend(0)
-
-
-def _connected_sets(anchor, size, links, grow, start, budget):
+def _connected_sets(anchor, size, links, grow, budget):
     """Yield (members, state) once for each connected set of exactly `size`
     vertices whose least vertex is `anchor` (Wernicke's ESU: a set grows
     by the vertices its parent may still add and by those neighbours of its
@@ -117,11 +94,11 @@ def _connected_sets(anchor, size, links, grow, start, budget):
 
     `links(w)` lists w's neighbours, each once.  `grow(members, w, state)`
     is the state of members + [w], or None to skip that set and every set
-    grown from it; the veto must hold for all supersets too.  `start` is
-    the state of the empty set, and `members` is a shared list.  One work
-    unit per connected set probed, the anchor alone included."""
+    grown from it; the veto must hold for all supersets too.  The empty
+    set's state is (0, frozenset()), and `members` is a shared list.  One
+    work unit per connected set probed, the anchor alone included."""
     budget.spend()
-    state = grow([], anchor, start)
+    state = grow([], anchor, (0, frozenset()))
     if state is None:
         return
     members = [anchor]
@@ -152,30 +129,31 @@ def _connected_sets(anchor, size, links, grow, start, budget):
         frames.append((ext + fresh, closed.union(fresh), after))
 
 
-def _connected_layers(anchors, verified, links, grow, start, keep, budget):
-    """For each size s from 1 to len(verified) and each anchor in ascending
-    order that `verified[s - 1]` does not hold, the sorted list of the
-    connected sets of size s with that least vertex whose state passes
-    `keep`, when there are any.  An anchor whose sets all fail `keep` joins
-    `verified[s - 1]`; one with no set of size s has none larger, so it
-    joins every larger size too."""
+def _first_connected(anchors, verified, links, grow, budget):
+    """The first connected set, by size s up to len(verified), whose
+    state's gain `state[0]` is positive: the lex-least such set, as a
+    sorted tuple, at the first anchor in ascending order that
+    `verified[s - 1]` does not hold; or None.  An anchor whose sets of
+    size s all fail joins `verified[s - 1]`; one with no set of size s has
+    none larger, so it joins every larger size too."""
     for size, done in enumerate(verified, 1):
         for anchor in anchors:
             if anchor in done:
                 continue
             reached = False
             found = []
-            for members, state in _connected_sets(anchor, size, links, grow, start, budget):
+            for members, state in _connected_sets(anchor, size, links, grow, budget):
                 reached = True
-                if keep(state):
+                if state[0] > 0:
                     found.append(tuple(sorted(members)))
             if found:
-                yield sorted(found)
-            elif reached:
+                return min(found)
+            if reached:
                 done.add(anchor)
             else:
                 for larger in verified[size - 1:]:
                     larger.add(anchor)
+    return None
 
 
 def _linked(nbr, sol, w) -> set[int]:
@@ -268,18 +246,7 @@ def _first_improvement(nbr, sol, gain, cost, candidates, t, budget, verdicts=Non
         leaving = sol[w] - removed
         return total + gain[w] - sum(cost[x] for x in leaving), removed | leaving
 
-    layers = _connected_layers(
-        candidates,
-        verdicts.verified,
-        links,
-        grow,
-        (0, frozenset()),
-        lambda state: state[0] > 0,
-        budget,
-    )
-    for found in layers:
-        return found[0]
-    return None
+    return _first_connected(candidates, verdicts.verified, links, grow, budget)
 
 
 def _apply_swap(
@@ -429,13 +396,14 @@ def find_nice_claw(
     view = _SolutionNeighbors(graph)
     w = integral(weights if weights is not None else graph.weights)
     budget = budget if budget is not None else WorkBudget()
-    return _nice_claw(view, view.at(a), a, w, budget)
+    return _nice_claw(view, a, w, budget)
 
 
-def _nice_claw(view: _SolutionNeighbors, sol, a: frozenset[int], w, budget) -> Claw | None:
-    """`find_nice_claw` on A's solution neighbours `sol` and integer weights
-    `w`: u's doubled charge 2w(u) - w(sol[u]) goes to its heaviest solution
-    neighbour v and is compared with w(v)."""
+def _nice_claw(view: _SolutionNeighbors, a: frozenset[int], w, budget) -> Claw | None:
+    """`find_nice_claw` on the view and integer weights `w`: u's doubled
+    charge 2w(u) - w(sol[u]) goes to its heaviest solution neighbour v and
+    is compared with w(v)."""
+    sol = view.at(a)
     cands: dict[int, list[tuple[int, int]]] = {}
     for u in range(view.graph.vertex_count):
         budget.spend()
@@ -448,17 +416,19 @@ def _nice_claw(view: _SolutionNeighbors, sol, a: frozenset[int], w, budget) -> C
             cands.setdefault(_heaviest(sol[u], w), []).append((doubled, u))
     for v in sorted(cands):
         ranked = sorted(cands[v], key=lambda cu: (-cu[0], cu[1]))
-        talons = _exhaustive_talons(ranked, view.nbr, w[v], budget)
+        talons = _first_independent(ranked, view.nbr, w[v], budget)
         if talons is not None:
             return Claw(center=v, talons=tuple(sorted(talons)))
     return None
 
 
-def _exhaustive_talons(cands, nbr, bar, budget) -> list[int] | None:
+def _first_independent(cands, nbr, bar, budget) -> list[int] | None:
     """The first independent subset of the (charge, vertex) candidates whose
     charges sum past `bar`, depth-first in the given order; a branch ends
-    once the charges left cannot pass `bar`.  In non-increasing charge order
-    up to the first sum past `bar`, every talon taken is needed."""
+    once the charges left cannot pass `bar`.  One work unit per candidate
+    tried.  In non-increasing charge order up to the first sum past `bar`,
+    every talon taken is needed; with unit charges the result is the
+    lex-first independent subset of bar + 1 candidates."""
     suffix = list(accumulate((c for c, _ in reversed(cands)), initial=0))[::-1]
     taken: list[int] = []
     i = total = 0
@@ -504,11 +474,12 @@ def apply_claw(
 
 def _assert_claw_free(graph: ConflictGraph, claw_bound: int, budget) -> None:
     """Error when some neighborhood holds claw_bound independent vertices.
-    Every neighborhood is searched for them on `budget`, so a dense input
-    ends in CapExceededError rather than running unbounded."""
+    Each is searched by the talon search with unit charges, on `budget`, so
+    a dense input ends in CapExceededError rather than running unbounded."""
     nbr = [frozenset(graph.neighbors[u]) for u in range(graph.vertex_count)]
     for v in range(graph.vertex_count):
-        if next(_disjoint_subsets(graph.neighbors[v], nbr, claw_bound, budget), None) is not None:
+        units = [(1, u) for u in graph.neighbors[v]]
+        if _first_independent(units, nbr, claw_bound - 1, budget) is not None:
             raise ValueError(f"graph is not {claw_bound}-claw-free (witness center {v})")
 
 
@@ -554,7 +525,7 @@ def _nice_claw_step(graph: ConflictGraph, weights, budget: WorkBudget | None) ->
     w = integral(weights if weights is not None else graph.weights)
 
     def step(a: frozenset[int]) -> frozenset[int] | None:
-        claw = _nice_claw(view, view.at(a), a, w, budget)
+        claw = _nice_claw(view, a, w, budget)
         return None if claw is None else view.swap(a, claw.talons)
 
     return step
@@ -689,7 +660,9 @@ def power_local_search(
         raise ValueError("t must be >= 1")
     a = greedy_weighted(graph) if start is None else _check_independent(graph, start)
 
-    with decimal.localcontext(decimal.Context(prec=DECIMAL_PRECISION)):
+    # the widest exponent range, so that no power overflows or rounds to 0
+    wide = decimal.Context(prec=DECIMAL_PRECISION, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    with decimal.localcontext(wide):
         if alpha.denominator == 1:
             low = high = [w ** alpha.numerator for w in graph.weights]
         else:

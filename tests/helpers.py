@@ -126,6 +126,16 @@ def all_pairs_conflict_graph(instance: Instance) -> ConflictGraph:
     return ConflictGraph.from_edges(instance.n, edges, instance.weights)
 
 
+def brute_claw_center(graph: ConflictGraph, bound: int) -> int | None:
+    """The least vertex whose neighbourhood holds `bound` pairwise
+    non-adjacent vertices, by trying every `bound`-subset; None if none."""
+    for v in range(graph.vertex_count):
+        for combo in itertools.combinations(graph.neighbors[v], bound):
+            if not any(graph.adjacent(x, y) for x, y in itertools.combinations(combo, 2)):
+                return v
+    return None
+
+
 def brute_first_improvement(graph: ConflictGraph, a, gain, cost, candidates, t):
     """First pairwise non-adjacent subset of at most t candidates, by size
     then lex order, whose `gain` sum beats the `cost` sum of the members of

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import all_pairs_conflict_graph
+from helpers import all_pairs_conflict_graph, brute_claw_center
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -244,6 +244,49 @@ class TestNeighborhoodOracle:
         # pairwise-disjoint conflicting sets
         g = conflict_graph(gen_random(12, 14, 3, seed=9))
         _assert_claw_free(g, 4, WorkBudget())
+
+    def test_matches_bruteforce(self):
+        # the verdict and the least witness center; a hub adjacent to every
+        # vertex holds the large independent sets of the rest
+        rng = random.Random(17)
+        for density in (0.2, 0.5, 0.8):
+            for trial in range(12):
+                n = rng.randrange(1, 13)
+                hub = rng.randrange(n)
+                edges = [
+                    (u, v)
+                    for u, v in itertools.combinations(range(n), 2)
+                    if hub in (u, v) or rng.random() < density
+                ]
+                g = ConflictGraph.from_edges(n, edges)
+                for bound in range(1, 6):
+                    center = brute_claw_center(g, bound)
+                    if center is None:
+                        assert self.claw_free(g, bound)
+                        continue
+                    with pytest.raises(ValueError, match=rf"\(witness center {center}\)$"):
+                        _assert_claw_free(g, bound, WorkBudget())
+
+    @pytest.mark.parametrize(
+        "graph, bound, center, units",
+        [
+            (ConflictGraph.from_edges(11, [(0, i) for i in range(1, 11)]), 3, 0, 3),
+            (ConflictGraph.from_edges(31, [(0, i) for i in range(1, 31)]), 31, None, 0),
+            (conflict_graph(gen_projective_plane(5)), 6, None, 10_850),
+            (ConflictGraph.from_edges(4, list(itertools.combinations(range(4), 2))), 2, None, 20),
+            (conflict_graph(gen_random(12, 14, 3, seed=9)), 4, None, 387),
+        ],
+        ids=["star-10", "star-30", "plane-5", "k4", "random-14"],
+    )
+    def test_work_units(self, graph, bound, center, units):
+        # one unit per neighbour tried; a branch stops once too few are left
+        budget = WorkBudget()
+        if center is None:
+            _assert_claw_free(graph, bound, budget)
+        else:
+            with pytest.raises(ValueError, match=rf"\(witness center {center}\)$"):
+                _assert_claw_free(graph, bound, budget)
+        assert budget.spent == units
 
 
 class TestInstanceFromGraph:

@@ -101,14 +101,16 @@ class TestMaximalCliques:
         assert enumerate_maximal_cliques(g) == [(0, 1), (1, 2)]
 
     def test_matches_bruteforce(self):
+        # at 0.9 most frames stop the pivot scan at a vertex seeing |P| - 1 of P
         rng = random.Random(14)
-        for trial in range(30):
-            n = rng.randrange(1, 10)
-            edges = [
-                e for e in itertools.combinations(range(n), 2) if rng.random() < 0.45
-            ]
-            g = ConflictGraph.from_edges(n, edges)
-            assert enumerate_maximal_cliques(g) == brute_maximal_cliques(g)
+        for density in (0.45, 0.9):
+            for trial in range(30):
+                n = rng.randrange(1, 10)
+                edges = [
+                    e for e in itertools.combinations(range(n), 2) if rng.random() < density
+                ]
+                g = ConflictGraph.from_edges(n, edges)
+                assert enumerate_maximal_cliques(g) == brute_maximal_cliques(g)
 
     def test_large_clique_needs_no_recursion(self):
         # one frame per clique member would pass a limit 100 above the caller

@@ -29,6 +29,7 @@ from ksetpack import (
     gen_random,
     greedy_weighted,
     heaviest_solution_neighbor,
+    instance_from_graph,
     max_packing_value,
     power_local_search,
     rescaled_run,
@@ -39,6 +40,7 @@ from ksetpack import (
     wishful_thinking,
 )
 from ksetpack import weighted
+from ksetpack.bench import run_algorithm
 from ksetpack.weighted import (
     _first_improvement,
     _nice_claw_step,
@@ -712,6 +714,18 @@ class TestPowerLocalSearch:
         members = frozenset(range(1, 9))
         got = power_local_search(g, F(3, 2), 1, start=members)
         assert got == (frozenset({0}) if swaps else members)
+
+    def test_huge_alpha_does_not_underflow(self):
+        # (1/1000)^alpha lies below Decimal's default exponent range, where it
+        # rounds to 0; equal weights rank swaps as alpha = 3/2 does
+        g = ConflictGraph.from_edges(3, [(0, 1), (0, 2)], [F(1, 1000)] * 3)
+        assert power_local_search(g, F(700001, 2), 2) == frozenset({1, 2})
+        assert power_local_search(g, F(3, 2), 2) == frozenset({1, 2})
+
+    def test_huge_alpha_does_not_overflow(self):
+        # (10**10)^alpha lies above Decimal's default exponent range
+        instance = instance_from_graph(3, [(0, 1), (0, 2)], [10**10, 1, 1])
+        assert run_algorithm(instance, "power:200001/2:2").members == (0,)
 
     def test_matches_the_margin_search(self):
         # the old rule compared Decimal gains against a relative margin and
