@@ -315,6 +315,8 @@ def parse_instance(text: str) -> Instance:
                 header = (int(fields[2]), int(fields[3]), int(fields[4]))
             except ValueError:
                 raise ParseError("p line fields must be integers", lineno) from None
+            if min(header) < 0:
+                raise ParseError("p line counts must be >= 0", lineno)
             continue
         if fields[0] == "w":
             if header is None:
@@ -386,6 +388,7 @@ def parse_graph(
     header: tuple[int, int] | None = None
     weights: tuple[Fraction, ...] | None = None
     edges: list[tuple[int, int]] = []
+    seen: set[frozenset[int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -432,6 +435,9 @@ def parse_graph(
         if u == v:
             raise ParseError(f"loop at vertex {u} not allowed", lineno)
         edges.append((u - 1, v - 1))
+        seen.add(frozenset((u, v)))
+        if len(seen) < len(edges):
+            raise ParseError(f"duplicate edge ({u}, {v})", lineno)
         if len(edges) > header[1]:
             raise ParseError(f"more than {header[1]} edge lines", lineno)
     if header is None:

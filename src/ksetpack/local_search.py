@@ -37,19 +37,27 @@ class ImprovingSet:
 
 
 def _view(instance: Instance, packing: Packing) -> _SolutionNeighbors:
-    """The swap engine's view of the conflict graph, after checking that
-    the packing is one."""
+    """The swap engine's view of the conflict graph at the packing, after
+    checking that the packing is one."""
     if not is_packing(instance, packing):
         raise ValueError("packing is not pairwise disjoint")
-    return _SolutionNeighbors(conflict_graph(instance))
+    return _SolutionNeighbors(conflict_graph(instance), frozenset(packing.members))
 
 
-def _unit_swap_step(instance: Instance, packing: Packing, t: int, budget):
-    """The engine's t-swap step with unit potential, after input checks."""
+def _unit_swap_step(view: _SolutionNeighbors, t: int, budget):
+    """The engine's t-swap step with unit potential, after checking t."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    ones = [1] * instance.n
-    return _t_swap_step(_view(instance, packing), ones, ones, t, budget)
+    ones = [1] * view.graph.vertex_count
+    return _t_swap_step(view, ones, ones, t, budget)
+
+
+def _improving_set(view: _SolutionNeighbors, incoming) -> ImprovingSet | None:
+    """The swap of the incoming sets on the view; None for None."""
+    if incoming is None:
+        return None
+    outgoing = set().union(*(view.sol[u] for u in incoming))
+    return ImprovingSet(incoming=incoming, outgoing=tuple(sorted(outgoing)))
 
 
 def find_improving_set(
@@ -60,14 +68,8 @@ def find_improving_set(
 ) -> ImprovingSet | None:
     """First improving set with at most t incoming sets, by size then lex
     order, or None (which certifies t-local optimality)."""
-    members = frozenset(packing.members)
-    after = _unit_swap_step(instance, packing, t, budget)(members)
-    if after is None:
-        return None
-    return ImprovingSet(
-        incoming=tuple(sorted(after - members)),
-        outgoing=tuple(sorted(members - after)),
-    )
+    view = _view(instance, packing)
+    return _improving_set(view, _unit_swap_step(view, t, budget)())
 
 
 def apply_improving_set(
@@ -111,9 +113,8 @@ def t_local_search(
     from empty or from `start`: the swap engine with unit potential on a
     conflict graph built once.  Terminates: cardinality strictly increases
     with each swap."""
-    packing = start if start is not None else Packing(members=())
-    step = _unit_swap_step(instance, packing, t, budget)
-    members = _search(frozenset(packing.members), step, stats)
+    view = _view(instance, start if start is not None else Packing(members=()))
+    members = _search(view, _unit_swap_step(view, t, budget), stats)
     return Packing(members=tuple(sorted(members)))
 
 
@@ -145,7 +146,7 @@ def build_auxiliary_multigraph(
     """One vertex per packing member, in member order, and the edges of
     `_auxiliary_edges`.  Returns the multigraph and, per edge, the outside
     set index that produced it."""
-    sol = _view(instance, packing).at(frozenset(packing.members))
+    sol = _view(instance, packing).sol
     pos = {m: i for i, m in enumerate(packing.members)}
     edges = list(_auxiliary_edges(sol, include_loops))
     ends = tuple((pos[e[0]], pos[e[-1]]) for _, e in edges)
@@ -159,16 +160,16 @@ def _positive(epsilon) -> Fraction:
     return eps
 
 
-def _log_swap(view: _SolutionNeighbors, a: frozenset[int], eps: Fraction, budget):
+def _log_swap(view: _SolutionNeighbors, eps: Fraction, budget):
     """The incoming sets, ascending, of the first connected set of at most
-    4*(1 + 1/eps)*log2(|A|) members, by size then lex order, that induces
-    more auxiliary edges than members and whose edges' sets are pairwise
-    disjoint; or None."""
-    members = sorted(a)
+    4*(1 + 1/eps)*log2(|A|) members of the view's A, by size then lex
+    order, that induces more auxiliary edges than members and whose edges'
+    sets are pairwise disjoint; or None."""
+    members = sorted(view.a)
     if len(members) < 2:
         return None
     size_cap = min(len(members), math.floor(4 * (1 + 1 / eps) * math.log2(len(members)) + 1e-9))
-    edges = list(_auxiliary_edges(view.at(a), include_loops=False))
+    edges = list(_auxiliary_edges(view.sol, include_loops=False))
     # member -> adjacent member -> the outside sets behind their edges
     between: dict[int, dict[int, list[int]]] = {m: {} for m in members}
     for u, (b, c) in edges:
@@ -209,13 +210,9 @@ def log_improvement_search(
     improvement of larger size does.
     """
     eps = _positive(epsilon)
+    budget = budget if budget is not None else WorkBudget()
     view = _view(instance, packing)
-    a = frozenset(packing.members)
-    incoming = _log_swap(view, a, eps, budget if budget is not None else WorkBudget())
-    if incoming is None:
-        return None
-    outgoing = set().union(*(view.at(a)[u] for u in incoming))
-    return ImprovingSet(incoming=incoming, outgoing=tuple(sorted(outgoing)))
+    return _improving_set(view, _log_swap(view, eps, budget))
 
 
 def log_local_search(
@@ -232,20 +229,16 @@ def log_local_search(
     swap strictly grows the packing."""
     eps = _positive(epsilon)
     budget = budget if budget is not None else WorkBudget()
-    view = _SolutionNeighbors(conflict_graph(instance))
-    ones = [1] * instance.n
-    two_swap = _t_swap_step(view, ones, ones, 2, budget)
+    view = _view(instance, Packing(members=()))
+    two_swap = _unit_swap_step(view, 2, budget)
 
-    def step(a: frozenset[int]) -> frozenset[int] | None:
-        after = two_swap(a)
-        if after is not None:
-            return after
-        incoming = _log_swap(view, a, eps, budget)
+    def step() -> tuple[int, ...] | None:
+        incoming = two_swap()
         if incoming is None:
-            return None
-        after = view.swap(a, incoming)
-        if len(after) <= len(a):
-            raise RuntimeError("internal: log-size swap did not grow the packing")
-        return after
+            incoming = _log_swap(view, eps, budget)
+            imp = _improving_set(view, incoming)
+            if imp is not None and len(imp.incoming) <= len(imp.outgoing):
+                raise RuntimeError("internal: log-size swap did not grow the packing")
+        return incoming
 
-    return Packing(members=tuple(sorted(_search(frozenset(), step, stats))))
+    return Packing(members=tuple(sorted(_search(view, step, stats))))

@@ -22,21 +22,22 @@ improving set is connected, and the lex-first swap over all subsets is
 found among the connected ones.  They are enumerated by least vertex in the
 manner of Wernicke's ESU (`_connected_sets`), and `_first_connected`
 returns the first that passes, for the log-size search of `local_search`
-too.  Each vertex's solution neighbours are built once per run and updated,
-per swap, for the vertices the swap touched: the neighbours of the members
-that left or came in.  The 2-swap phase and the log-size search of
-`local_search.log_local_search` share one such view, and the log-size
-swaps are applied on it like any other.  The verdicts of a step carry to
-the next: the t-swap step keeps its links and, per size, the anchors with
-no improving set (`_Verdicts`), and SquareImp keeps the vertices with no
-improving 1-claw and the centers with no improving claw.  A swap voids them
-only near the vertices it touched, so a step re-probes only what the last
-swap could have changed, and finds the same swap as a full search.  A
-solution that a step did not return voids them all.  Every applied swap is
-checked for independence in full, once.  The nice-claw loops read their
-charges off the same view, doubled and in integers, and find talons by one
-depth-first search whose first branch is the greedy pick; the claw-free
-check runs it with unit charges.
+too.  A run builds its view once, at its start solution: A and each
+vertex's solution neighbours (`_SolutionNeighbors`).  A step only finds the
+next swap on the view, and `_search` applies it there, updating the
+vertices the swap touched: the neighbours of the members that left or came
+in.  The 2-swap phase and the log-size search of
+`local_search.log_local_search` are two steps on one view.  The verdicts
+of a step carry to the next: the t-swap step keeps its links and, per
+size, the anchors with no improving set (`_Verdicts`), and SquareImp keeps
+the vertices with no improving 1-claw and the centers with no improving
+claw.  A swap voids them only near the vertices it touched, so a step
+re-probes only what the last swap could have changed, and finds the same
+swap as a full search.  Every applied swap is checked for independence in
+full, once.  The nice-claw loop, which WishfulThinking and the rescaled run
+share, reads its charges off the view, doubled and in integers, and finds
+talons by one depth-first search whose first branch is the greedy pick;
+the claw-free check runs it with unit charges.
 
 Solution sets are frozensets of vertex ids.  Functions accept an optional
 weight override so callers can search under modified weights (rescaled,
@@ -80,9 +81,9 @@ def _check_independent(graph: ConflictGraph, a) -> frozenset[int]:
     return a
 
 
-# The swap engine.  A step maps A to the next solution, or to None at a
-# local optimum.
-_Step = Callable[[frozenset[int]], "frozenset[int] | None"]
+# The swap engine.  A step finds the next swap on its view: the incoming
+# vertices, ascending, or None at a local optimum.
+_Step = Callable[[], "tuple[int, ...] | None"]
 
 
 def _connected_sets(anchor, size, links, grow, budget):
@@ -182,19 +183,15 @@ class _Verdicts:
         self.links: dict[int, set[int]] = {}
         self.verified: list[set[int]] = [set() for _ in range(t)]
 
-    def forget(self, touched: set[int] | None, nbr, sol, a: frozenset[int]) -> None:
-        """Drop what a swap to A may have changed: the links of the touched
-        vertices and, at each size s, the verdicts on the anchors within
-        s - 1 links of a touched candidate.  None drops everything."""
-        if touched is None:
-            self.links.clear()
-            for done in self.verified:
-                done.clear()
-            return
+    def forget(self, view: _SolutionNeighbors) -> None:
+        """Drop what the swaps since the last call may have changed: the
+        links of the touched vertices and, at each size s, the verdicts on
+        the anchors within s - 1 links of a touched candidate."""
+        touched, nbr, sol = view.take_touched(), view.nbr, view.sol
         for w in touched:
             self.links.pop(w, None)
         # breadth first, in lists: large temporary sets fragment the heap
-        ring = [w for w in touched if w not in a]
+        ring = [w for w in touched if w not in view.a]
         seen = set(ring)
         for hops in range(len(self.verified)):
             for done in self.verified[hops:]:
@@ -257,51 +254,37 @@ def _apply_swap(
 
 
 class _SolutionNeighbors:
-    """Each vertex's solution neighbours under a solution A, built once and
-    then updated, per applied swap, for the vertices the swap touched."""
+    """A run's solution A and each vertex's solution neighbours `sol[u]`,
+    built once at the run's start.  Only `swap` changes them after that, and
+    it records the vertices each swap touched."""
 
-    def __init__(self, graph: ConflictGraph):
+    def __init__(self, graph: ConflictGraph, a: frozenset[int]):
         self.graph = graph
         self.nbr = [frozenset(graph.neighbors[u]) for u in range(graph.vertex_count)]
-        self.a: frozenset[int] | None = None
-        self.sol: list[set[int]] = []
-        self.touched: set[int] | None = None
+        self.a = a
+        self.sol = [set(self.nbr[u] & a) for u in range(graph.vertex_count)]
+        self.touched: set[int] = set()
 
-    def at(self, a: frozenset[int]) -> list[set[int]]:
-        """The solution neighbours under `a`, rebuilt if `a` is not the
-        solution they were last kept for."""
-        if a is not self.a and a != self.a:
-            self.a = a
-            self.sol = [set(self.nbr[u] & a) for u in range(self.graph.vertex_count)]
-            self.touched = None
-        return self.sol
-
-    def take_touched(self) -> set[int] | None:
-        """The vertices the swaps since the last call touched, or None when
-        the view was rebuilt since, as every vertex may have changed."""
+    def take_touched(self) -> set[int]:
+        """The vertices the swaps since the last call touched."""
         touched, self.touched = self.touched, set()
         return touched
 
-    def swap(self, a: frozenset[int], incoming: tuple[int, ...]) -> frozenset[int]:
-        """Apply the swap to `a` (checked as ever) and update the touched
+    def swap(self, incoming: tuple[int, ...]) -> None:
+        """Apply the swap to A (checked as ever) and update the touched
         vertices: the neighbours of the members that left or came in, whose
         solution neighbours change.  The members that left are among them,
         as neighbours of the incoming vertices."""
-        sol = self.at(a)
-        after = _apply_swap(self.graph, a, incoming)
-        touched: set[int] = set()
-        for x in a - after:
+        after = _apply_swap(self.graph, self.a, incoming)
+        for x in self.a - after:
             for u in self.nbr[x]:
-                sol[u].discard(x)
-            touched |= self.nbr[x]
+                self.sol[u].discard(x)
+            self.touched |= self.nbr[x]
         for i in incoming:
             for u in self.nbr[i]:
-                sol[u].add(i)
-            touched |= self.nbr[i]
-        if self.touched is not None:
-            self.touched |= touched
+                self.sol[u].add(i)
+            self.touched |= self.nbr[i]
         self.a = after
-        return after
 
 
 def _t_swap_step(view: _SolutionNeighbors, gain, cost, t: int, budget) -> _Step:
@@ -314,25 +297,22 @@ def _t_swap_step(view: _SolutionNeighbors, gain, cost, t: int, budget) -> _Step:
     t = min(t, view.graph.vertex_count)
     verdicts = _Verdicts(t)
 
-    def step(a: frozenset[int]) -> frozenset[int] | None:
-        sol = view.at(a)
-        outside = [u for u in range(view.graph.vertex_count) if u not in a]
-        verdicts.forget(view.take_touched(), view.nbr, sol, a)
-        incoming = _first_improvement(view.nbr, sol, gain, cost, outside, t, budget, verdicts)
-        return None if incoming is None else view.swap(a, incoming)
+    def step() -> tuple[int, ...] | None:
+        outside = [u for u in range(view.graph.vertex_count) if u not in view.a]
+        verdicts.forget(view)
+        return _first_improvement(view.nbr, view.sol, gain, cost, outside, t, budget, verdicts)
 
     return step
 
 
-def _search(a: frozenset[int], step: _Step, stats: SearchStats | None):
-    """Apply `step` until it finds no swap, counting the swaps applied."""
-    while True:
-        after = step(a)
-        if after is None:
-            return a
-        a = after
+def _search(view: _SolutionNeighbors, step: _Step, stats: SearchStats | None):
+    """Apply the swaps `step` finds on the view until it finds none,
+    counting them; the final solution."""
+    while (incoming := step()) is not None:
+        view.swap(incoming)
         if stats is not None:
             stats.iterations += 1
+    return view.a
 
 
 def _heaviest(nbrs, w) -> int | None:
@@ -392,18 +372,16 @@ def find_nice_claw(
     charge order.  The first branch is the greedy pick, and the search is
     exhaustive, so None is a certificate that no good claw exists at all.
     """
-    a = _check_independent(graph, a)
-    view = _SolutionNeighbors(graph)
+    view = _SolutionNeighbors(graph, _check_independent(graph, a))
     w = integral(weights if weights is not None else graph.weights)
-    budget = budget if budget is not None else WorkBudget()
-    return _nice_claw(view, a, w, budget)
+    return _nice_claw(view, w, budget if budget is not None else WorkBudget())
 
 
-def _nice_claw(view: _SolutionNeighbors, a: frozenset[int], w, budget) -> Claw | None:
+def _nice_claw(view: _SolutionNeighbors, w, budget) -> Claw | None:
     """`find_nice_claw` on the view and integer weights `w`: u's doubled
     charge 2w(u) - w(sol[u]) goes to its heaviest solution neighbour v and
     is compared with w(v)."""
-    sol = view.at(a)
+    a, sol = view.a, view.sol
     cands: dict[int, list[tuple[int, int]]] = {}
     for u in range(view.graph.vertex_count):
         budget.spend()
@@ -516,19 +494,20 @@ def wishful_thinking(
     budget = budget if budget is not None else WorkBudget()
     if check_claw_free:
         _assert_claw_free(graph, claw_bound, budget)
-    return _search(frozenset(), _nice_claw_step(graph, weights, budget), stats)
+    return _nice_claw_loop(graph, frozenset(), weights, budget, stats)
 
 
-def _nice_claw_step(graph: ConflictGraph, weights, budget: WorkBudget | None) -> _Step:
+def _nice_claw_loop(graph: ConflictGraph, a, weights, budget, stats) -> frozenset[int]:
+    """Apply nice claws under `weights` from A until none is left."""
     budget = budget if budget is not None else WorkBudget()
-    view = _SolutionNeighbors(graph)
+    view = _SolutionNeighbors(graph, a)
     w = integral(weights if weights is not None else graph.weights)
 
-    def step(a: frozenset[int]) -> frozenset[int] | None:
-        claw = _nice_claw(view, a, w, budget)
-        return None if claw is None else view.swap(a, claw.talons)
+    def step() -> tuple[int, ...] | None:
+        claw = _nice_claw(view, w, budget)
+        return None if claw is None else claw.talons
 
-    return step
+    return _search(view, step, stats)
 
 
 def square_imp(
@@ -547,7 +526,7 @@ def square_imp(
     w = weights if weights is not None else graph.weights
     budget = budget if budget is not None else WorkBudget()
     squares = integral([x * x for x in w])
-    view = _SolutionNeighbors(graph)
+    view = _SolutionNeighbors(graph, frozenset())
     # verdicts kept across swaps: vertices with no improving 1-claw
     # (members included), and centers with no improving claw.  A swap
     # voids them for the vertices it touched, and for the centers next to
@@ -555,21 +534,16 @@ def square_imp(
     lone: set[int] = set()
     centers: set[int] = set()
 
-    def step(a: frozenset[int]) -> frozenset[int] | None:
-        sol = view.at(a)
-        touched = view.take_touched()
-        if touched is None:
-            lone.clear()
-            centers.clear()
-        else:
-            lone.difference_update(touched)
-            centers.difference_update(touched, *(view.nbr[x] for x in touched))
+    def step() -> tuple[int, ...] | None:
+        a, sol, touched = view.a, view.sol, view.take_touched()
+        lone.difference_update(touched)
+        centers.difference_update(touched, *(view.nbr[x] for x in touched))
         for u in range(graph.vertex_count):
             if u in lone:
                 continue
             budget.spend()
             if u not in a and squares[u] > sum(squares[x] for x in sol[u]):
-                return view.swap(a, (u,))
+                return (u,)
             lone.add(u)
         for v in sorted(a):
             if v in centers:
@@ -580,11 +554,11 @@ def square_imp(
                 view.nbr, sol, squares, squares, cands, min(limit, len(cands)), budget
             )
             if talons is not None:
-                return view.swap(a, talons)
+                return talons
             centers.add(v)
         return None
 
-    return _search(frozenset(), step, stats)
+    return _search(view, step, stats)
 
 
 def greedy_weighted(
@@ -631,7 +605,7 @@ def rescaled_run(
         return frozenset()
     a = greedy_weighted(graph)
     floored, _ = rescale_floor_weights(graph, a, k)
-    return _search(a, _nice_claw_step(graph, floored, budget), stats)
+    return _nice_claw_loop(graph, a, floored, budget, stats)
 
 
 def power_local_search(
@@ -677,5 +651,5 @@ def power_local_search(
     # one scale for both bounds, so the gain compares them exactly
     bounds = integral(low + high)
     n = graph.vertex_count
-    step = _t_swap_step(_SolutionNeighbors(graph), bounds[:n], bounds[n:], t, budget)
-    return _search(a, step, stats)
+    view = _SolutionNeighbors(graph, a)
+    return _search(view, _t_swap_step(view, bounds[:n], bounds[n:], t, budget), stats)

@@ -765,14 +765,14 @@ def reference_square_imp(
     w = weights if weights is not None else graph.weights
     budget = budget if budget is not None else WorkBudget()
     squares = integral([x * x for x in w])
-    view = _SolutionNeighbors(graph)
+    view = _SolutionNeighbors(graph, frozenset())
 
-    def step(a: frozenset[int]) -> frozenset[int] | None:
-        sol = view.at(a)
+    def step():
+        a, sol = view.a, view.sol
         for u in range(graph.vertex_count):
             budget.spend()
             if u not in a and squares[u] > sum(squares[x] for x in sol[u]):
-                return view.swap(a, (u,))
+                return (u,)
         for v in sorted(a):
             cands = [u for u in graph.neighbors[v] if u not in a]
             limit = max_talons if max_talons is not None else len(cands)
@@ -780,7 +780,7 @@ def reference_square_imp(
                 view.nbr, sol, squares, squares, cands, min(limit, len(cands)), budget
             )
             if talons is not None:
-                return view.swap(a, talons)
+                return talons
         return None
 
-    return _search(frozenset(), step, stats)
+    return _search(view, step, stats)

@@ -352,6 +352,7 @@ class TestFileFormat:
             ("p setpack 5 2 2\n1 x\n3 4\n", 2),
             ("1 2\n", 1),
             ("p setpack x 2 2\n1 2\n3 4\n", 1),
+            ("p setpack 5 -1 2\n", 1),
         ],
     )
     def test_parse_errors_carry_line_numbers(self, text, lineno):
@@ -389,6 +390,7 @@ class TestGraphFormat:
             ("p graph 3 1\n1 4\n", 2),
             ("p graph 3 1\n1 2 3\n", 2),
             ("p graph 3 1\n1 2\n2 3\n", 3),
+            ("p graph 3 2\n1 2\n2 1\n", 3),
             ("p graph 0 0\n", 1),
             ("1 2\n", 1),
         ],

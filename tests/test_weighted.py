@@ -43,8 +43,7 @@ from ksetpack import weighted
 from ksetpack.bench import run_algorithm
 from ksetpack.weighted import (
     _first_improvement,
-    _nice_claw_step,
-    _search,
+    _nice_claw_loop,
     _SolutionNeighbors,
     _t_swap_step,
     rescale_floor_weights,
@@ -452,7 +451,7 @@ class TestNiceClawMatchesReference:
         g, start, override = state
         ours, theirs = WorkBudget(limit=100_000), WorkBudget(limit=100_000)
         stats = SearchStats()
-        got = _search(start, _nice_claw_step(g, override, ours), stats)
+        got = _nice_claw_loop(g, start, override, ours, stats)
         assert (got, stats.iterations) == reference_nice_claw_loop(g, start, override, theirs)
         assert ours.spent <= theirs.spent
 
@@ -488,39 +487,56 @@ def step_runs(draw):
 
 
 class TestTSwapStep:
-    """The step keeps its verdicts from one call to the next; each answer
-    must still be the brute-force first improvement on the A it is given."""
+    """The step keeps its verdicts from one swap on its view to the next;
+    each answer must still be the brute-force first improvement on the
+    view's A, and the view's solution neighbours must stay exact."""
 
     @given(step_runs(), st.randoms(use_true_random=False))
     def test_every_step_is_brute_force_first(self, run, rng):
         g, gain, cost, t, a = run
-        step = _t_swap_step(_SolutionNeighbors(g), gain, cost, t, WorkBudget())
+        view = _SolutionNeighbors(g, a)
+        step = _t_swap_step(view, gain, cost, t, WorkBudget())
         for _ in range(12):
+            a = view.a
             outside = [u for u in range(g.vertex_count) if u not in a]
             combo = brute_first_improvement(g, a, gain, cost, outside, t)
-            got = step(a)
-            if combo is None:
-                assert got is None
-            else:
-                removed = {x for u in combo for x in g.neighbors[u] if x in a}
-                assert got == (a - removed) | set(combo)
+            got = step()
+            assert got == combo
             if got is not None and rng.random() < 0.7:
-                a = got
-            elif rng.random() < 0.5:
-                # an A the step did not return: some members dropped
-                a = frozenset(v for v in got or a if rng.random() < 0.6)
+                view.swap(got)
+                removed = {x for u in combo for x in g.neighbors[u] if x in a}
+                assert view.a == (a - removed) | set(combo)
+                assert view.sol == [set(g.neighbors[u]) & view.a for u in range(g.vertex_count)]
+                continue
+            # a solution no step found starts a fresh view and step
+            if rng.random() < 0.5:
+                a = frozenset(v for v in a if rng.random() < 0.6)
             else:
                 a = random_state(g, rng)
+            view = _SolutionNeighbors(g, a)
+            step = _t_swap_step(view, gain, cost, t, WorkBudget())
 
     def test_swap_reopens_an_anchor_one_link_away(self):
         # A = {2, 3}.  Anchor 0 has no improving pair, and {4, 5} replaces
         # 3.  Then 1's only solution neighbour is 2, and {0, 1} trades 2
         # for two: anchor 0 is untouched, one link from the touched 1.
         g = ConflictGraph.from_edges(6, [(0, 2), (1, 2), (1, 3), (3, 4), (3, 5)])
-        step = _t_swap_step(_SolutionNeighbors(g), [1] * 6, [1] * 6, 2, WorkBudget())
-        a = step(frozenset({2, 3}))
-        assert a == frozenset({2, 4, 5})
-        assert step(a) == frozenset({0, 1, 4, 5})
+        view = _SolutionNeighbors(g, frozenset({2, 3}))
+        step = _t_swap_step(view, [1] * 6, [1] * 6, 2, WorkBudget())
+        assert step() == (4, 5)
+        view.swap((4, 5))
+        assert view.a == frozenset({2, 4, 5})
+        assert step() == (0, 1)
+
+    def test_swap_touches_the_incoming_vertices_neighbours(self):
+        # On the path 1-0-2-3-4 (weights 1, 2, 1, 4, 4), a step whose
+        # verdicts outlived a change next to an incoming vertex misses a
+        # later swap and stops at {1, 3}.
+        g = ConflictGraph.from_edges(5, [(0, 1), (0, 2), (2, 3), (3, 4)], [1, 2, 1, 4, 4])
+        budget, stats = WorkBudget(), SearchStats()
+        got = power_local_search(g, F(1), 2, budget, stats, start=frozenset())
+        assert got == frozenset({1, 2, 4})
+        assert (stats.iterations, budget.spent) == (5, 17)
 
     def test_huge_t_is_clamped_to_the_vertex_count(self):
         # no swap is larger than the graph, so t = 10**4 on ten sets keeps
@@ -529,7 +545,8 @@ class TestTSwapStep:
         ones = [1] * inst.n
         tracemalloc.start()
         try:
-            _t_swap_step(_SolutionNeighbors(conflict_graph(inst)), ones, ones, 10**4, None)
+            view = _SolutionNeighbors(conflict_graph(inst), frozenset())
+            _t_swap_step(view, ones, ones, 10**4, None)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -540,13 +557,16 @@ class TestTSwapStep:
         assert stats[0].iterations == stats[1].iterations
         assert budgets[0].spent == budgets[1].spent
 
-    def test_outside_change_resets_the_verdicts(self):
+    def test_a_new_start_takes_a_new_view(self):
         # path 0-1-2: from {1} no swap of one vertex improves, and both
-        # ends stay verified.  Dropping 1 from outside frees them.
+        # ends stay verified on that view.  A view at the empty set, with
+        # its own step, finds {0}, and leaves the first view as it was.
         g = ConflictGraph.from_edges(3, [(0, 1), (1, 2)])
-        step = _t_swap_step(_SolutionNeighbors(g), [1, 1, 1], [1, 1, 1], 1, WorkBudget())
-        assert step(frozenset({1})) is None
-        assert step(frozenset()) == frozenset({0})
+        first = _SolutionNeighbors(g, frozenset({1}))
+        assert _t_swap_step(first, [1, 1, 1], [1, 1, 1], 1, WorkBudget())() is None
+        fresh = _SolutionNeighbors(g, frozenset())
+        assert _t_swap_step(fresh, [1, 1, 1], [1, 1, 1], 1, WorkBudget())() == (0,)
+        assert (first.a, first.sol) == (frozenset({1}), [{1}, set(), {1}])
 
 
 class TestSquareImp:
