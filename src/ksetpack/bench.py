@@ -76,9 +76,9 @@ def parse_algorithm(token: str) -> tuple[str, tuple]:
     Tokens: exact | greedy | local:<t> | loglocal:<eps> | wishful |
     squareimp | power:<alpha>:<t>
     """
-    name, _, rest = token.partition(":")
+    name, colon, rest = token.partition(":")
     if name in ("exact", "greedy", "wishful", "squareimp"):
-        if rest:
+        if colon:
             raise ValueError(f"algorithm {name} takes no parameter")
         return name, ()
     if name == "local":
@@ -307,9 +307,11 @@ def parse_bench_config(text: str) -> BenchConfig:
             gaps = tuple(fields[1:])
         elif key in caps:
             try:
-                caps[key] = int(fields[1])
-            except (IndexError, ValueError):
-                raise ParseError(f"{key} needs one integer", lineno) from None
+                (caps[key],) = map(int, fields[1:])
+            except ValueError:
+                caps[key] = -1
+            if caps[key] < 0:
+                raise ParseError(f"{key} needs one integer >= 0", lineno)
         else:
             raise ParseError(f"unknown directive {key!r}", lineno)
     if not families:

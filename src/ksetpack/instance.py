@@ -2,7 +2,9 @@
 
 An instance is a family of small sets over a universe {0, ..., N-1}; a
 packing is a pairwise-disjoint subfamily.  All weights are exact rationals.
-Elements and set indices are 0-based in memory and 1-based in files.
+Elements and set indices are 0-based in memory and 1-based in files.  The
+instance and graph file formats share one reader, `_read_file`, for their
+comments, p line, w line and line count; each keeps its body-line rules.
 """
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .util import ParseError, format_fraction, parse_fraction
 
@@ -286,83 +288,103 @@ def instance_from_graph(
     return Instance(universe_size=next_element, sets=tuple(sets), k=k, weights=w)
 
 
-def parse_instance(text: str) -> Instance:
-    """Parse the instance file format.
+def _read_file(
+    text: str,
+    usage: str,
+    minimums: tuple[int, ...],
+    weight_field: int,
+    noun: str,
+    check: Callable[[tuple[int, ...], list[int]], None] | None = None,
+) -> tuple[tuple[int, ...], tuple[Fraction, ...] | None, list[tuple[int, list[int]]]]:
+    """Read the container both file formats share, in file order.
 
-    Grammar (1-based ids, 'c' lines are comments, blank lines ignored)::
-
-        p setpack <universe-size> <set-count> <k>
-        w <r1> ... <rn>              optional, rationals as p or p/q
-        <e1> <e2> ... <ek'>          one line per set
-
-    Raises ParseError with a line number on any syntax problem, and
-    ValueError if the parsed instance violates a structural invariant.
+    'c' lines and blank lines are skipped.  The p line comes once, first,
+    shaped like `usage`, with integer fields each at least its entry in
+    `minimums`.  An optional w line of header[weight_field] rationals comes
+    once, before the header[1] body lines of 1-based integer ids.  Each body
+    line goes, ids made 0-based, to `check(header, ids)` for the format's
+    own rules.  Returns (header, weights, [(lineno, ids), ...]); raises
+    ParseError, with the line number of the line that breaks a rule.
     """
-    header: tuple[int, int, int] | None = None
+    form = usage.split()
+    header: tuple[int, ...] | None = None
     weights: tuple[Fraction, ...] | None = None
-    sets: list[tuple[int, ...]] = []
+    rows: list[tuple[int, list[int]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        fields = raw.split()
+        if not fields or fields[0].startswith("c"):
             continue
-        fields = line.split()
-        if fields[0] == "p":
-            if header is not None:
-                raise ParseError("duplicate p line", lineno)
-            if len(fields) != 5 or fields[1] != "setpack":
-                raise ParseError("expected 'p setpack N n k'", lineno)
-            try:
-                header = (int(fields[2]), int(fields[3]), int(fields[4]))
-            except ValueError:
-                raise ParseError("p line fields must be integers", lineno) from None
-            if min(header) < 0:
-                raise ParseError("p line counts must be >= 0", lineno)
-            continue
-        if fields[0] == "w":
+        try:  # a fault here, a bad integer or rational too, gets this lineno
+            if fields[0] == "p":
+                if header is not None:
+                    raise ParseError("duplicate p line")
+                if len(fields) != len(form) or fields[1] != form[1]:
+                    raise ParseError(f"expected '{usage}'")
+                header = tuple(int(f) for f in fields[2:])
+                if any(h < m for h, m in zip(header, minimums)):
+                    raise ParseError(f"p line fields must be at least {minimums}")
+                continue
+            kind = "w" if fields[0] == "w" else noun
             if header is None:
-                raise ParseError("w line before p line", lineno)
-            if weights is not None:
-                raise ParseError("duplicate w line", lineno)
-            if sets:
-                raise ParseError("w line must precede set lines", lineno)
-            try:
+                raise ParseError(f"{kind} line before p line")
+            if kind == "w":
+                if weights is not None:
+                    raise ParseError("duplicate w line")
+                if rows:
+                    raise ParseError(f"w line must precede {noun} lines")
                 weights = tuple(parse_fraction(f) for f in fields[1:])
-            except ParseError as exc:
-                raise ParseError(str(exc), lineno) from None
-            if len(weights) != header[1]:
-                raise ParseError(
-                    f"expected {header[1]} weights, got {len(weights)}", lineno
-                )
-            continue
-        if header is None:
-            raise ParseError("set line before p line", lineno)
-        try:
-            elements = [int(f) for f in fields]
-        except ValueError:
-            raise ParseError("set line fields must be integers", lineno) from None
-        if any(e < 1 for e in elements):
-            raise ParseError("element ids are 1-based", lineno)
-        sets.append(tuple(sorted(e - 1 for e in elements)))
-        if len(sets) > header[1]:
-            raise ParseError(f"more than {header[1]} set lines", lineno)
+                if len(weights) != (want := header[weight_field]):
+                    raise ParseError(f"expected {want} weights, got {len(weights)}")
+                continue
+            ids = [int(f) - 1 for f in fields]
+            if min(ids) < 0:
+                raise ParseError(f"ids in {noun} lines are 1-based")
+            if check is not None:
+                check(header, ids)
+            rows.append((lineno, ids))
+            if len(rows) > header[1]:
+                raise ParseError(f"more than {header[1]} {noun} lines")
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
     if header is None:
         raise ParseError("missing p line")
-    if len(sets) != header[1]:
-        raise ParseError(f"expected {header[1]} set lines, got {len(sets)}")
-    instance = Instance(
-        universe_size=header[0], sets=tuple(sets), k=header[2], weights=weights
-    )
-    violation = validate(instance)
-    if violation is not None:
-        raise ValueError(f"invalid instance: {violation.rule}: {violation.detail}")
+    if len(rows) != header[1]:
+        raise ParseError(f"expected {header[1]} {noun} lines, got {len(rows)}")
+    return header, weights, rows
+
+
+def _require_valid(instance: Instance, lines: Sequence[int] = ()) -> None:
+    """Raise ValueError on validate's first violation.  Given each set's file
+    line, one inside a set is a ParseError at its line, in the file's ids."""
+    bad = validate(instance)
+    if bad is None:
+        return
+    if lines and bad.rule in ("set-size", "duplicate-element", "element-range"):
+        i, ids = bad.index, " ".join(str(e + 1) for e in instance.sets[bad.index])
+        need = f"needs 1..{instance.k} distinct elements of 1..{instance.universe_size}"
+        raise ParseError(f"{bad.rule}: set {i + 1} ({ids}) {need}", lines[i])
+    raise ValueError(f"invalid instance: {bad.rule}: {bad.detail}")
+
+
+def parse_instance(text: str) -> Instance:
+    """Parse the instance file format: the container of _read_file, with::
+
+        p setpack <universe-size> <set-count> <k>
+        <e1> <e2> ... <ek'>          one line per set, 1-based elements
+
+    A set that is too large, repeats an element or leaves the universe is a
+    ParseError at its line; any other invalid instance is a ValueError.
+    """
+    (universe, _, k), weights, rows = _read_file(text, "p setpack N n k", (0, 0, 0), 1, "set")
+    sets = tuple(tuple(sorted(ids)) for _, ids in rows)
+    instance = Instance(universe, sets, k, weights)
+    _require_valid(instance, [lineno for lineno, _ in rows])
     return instance
 
 
 def serialize_instance(instance: Instance) -> str:
     """Render an instance in the file format; parse_instance inverts this."""
-    violation = validate(instance)
-    if violation is not None:
-        raise ValueError(f"invalid instance: {violation.rule}: {violation.detail}")
+    _require_valid(instance)
     lines = [f"p setpack {instance.universe_size} {instance.n} {instance.k}"]
     if instance.weights is not None:
         lines.append("w " + " ".join(format_fraction(w) for w in instance.weights))
@@ -374,74 +396,27 @@ def serialize_instance(instance: Instance) -> str:
 def parse_graph(
     text: str,
 ) -> tuple[int, list[tuple[int, int]], tuple[Fraction, ...] | None]:
-    """Parse the simple-graph file format (1-based vertex ids).
-
-    Grammar ('c' lines are comments, blank lines ignored)::
+    """Parse the simple-graph file format: the container of _read_file, with::
 
         p graph <vertex-count> <edge-count>
-        w <r1> ... <rn>              optional vertex weights
-        <u> <v>                      one line per edge
+        <u> <v>                      one line per edge, no loops or repeats
 
     Returns (vertex_count, edges, weights) with 0-based endpoints, suitable
     for instance_from_graph.
     """
-    header: tuple[int, int] | None = None
-    weights: tuple[Fraction, ...] | None = None
-    edges: list[tuple[int, int]] = []
     seen: set[frozenset[int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
-        if fields[0] == "p":
-            if header is not None:
-                raise ParseError("duplicate p line", lineno)
-            if len(fields) != 4 or fields[1] != "graph":
-                raise ParseError("expected 'p graph n m'", lineno)
-            try:
-                header = (int(fields[2]), int(fields[3]))
-            except ValueError:
-                raise ParseError("p line fields must be integers", lineno) from None
-            if header[0] < 1 or header[1] < 0:
-                raise ParseError("need at least one vertex and m >= 0", lineno)
-            continue
-        if fields[0] == "w":
-            if header is None:
-                raise ParseError("w line before p line", lineno)
-            if weights is not None:
-                raise ParseError("duplicate w line", lineno)
-            if edges:
-                raise ParseError("w line must precede edge lines", lineno)
-            try:
-                weights = tuple(parse_fraction(f) for f in fields[1:])
-            except ParseError as exc:
-                raise ParseError(str(exc), lineno) from None
-            if len(weights) != header[0]:
-                raise ParseError(
-                    f"expected {header[0]} weights, got {len(weights)}", lineno
-                )
-            continue
-        if header is None:
-            raise ParseError("edge line before p line", lineno)
-        if len(fields) != 2:
-            raise ParseError("edge lines are '<u> <v>'", lineno)
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ParseError("edge endpoints must be integers", lineno) from None
-        if not (1 <= u <= header[0] and 1 <= v <= header[0]):
-            raise ParseError("vertex ids are 1-based and at most n", lineno)
+
+    def check_edge(header: tuple[int, ...], ends: list[int]) -> None:
+        if len(ends) != 2:
+            raise ParseError("edge lines are '<u> <v>'")
+        u, v = ends[0] + 1, ends[1] + 1
+        if max(u, v) > header[0]:
+            raise ParseError(f"vertex ids are at most {header[0]}")
         if u == v:
-            raise ParseError(f"loop at vertex {u} not allowed", lineno)
-        edges.append((u - 1, v - 1))
-        seen.add(frozenset((u, v)))
-        if len(seen) < len(edges):
-            raise ParseError(f"duplicate edge ({u}, {v})", lineno)
-        if len(edges) > header[1]:
-            raise ParseError(f"more than {header[1]} edge lines", lineno)
-    if header is None:
-        raise ParseError("missing p line")
-    if len(edges) != header[1]:
-        raise ParseError(f"expected {header[1]} edge lines, got {len(edges)}")
-    return header[0], edges, weights
+            raise ParseError(f"loop at vertex {u} not allowed")
+        if frozenset(ends) in seen:
+            raise ParseError(f"duplicate edge ({u}, {v})")
+        seen.add(frozenset(ends))
+
+    (n, _), weights, rows = _read_file(text, "p graph n m", (1, 0), 0, "edge", check_edge)
+    return n, [(u, v) for _, (u, v) in rows], weights

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import ORACLE_CAP, max_packing_value
-from .instance import ConflictGraph, Instance, conflict_graph, validate
+from .instance import ConflictGraph, Instance, _require_valid, conflict_graph
 from .lp import LEQ, Constraint, LinearProgram, solve_lp
 from .util import CapExceededError, ParseError
 
@@ -29,9 +29,7 @@ def build_standard_lp(instance: Instance) -> LinearProgram:
     """One variable per set with bounds [0,1]; for every element that occurs
     at all, a row summing its sets' variables to at most 1.  Objective is the
     weight vector (all ones when unweighted)."""
-    bad = validate(instance)
-    if bad is not None:
-        raise ValueError(f"invalid instance: {bad.rule}: {bad.detail}")
+    _require_valid(instance)
     member_of: dict[int, list[int]] = {}
     for i, s in enumerate(instance.sets):
         for e in s:

@@ -67,6 +67,10 @@ class TestParseAlgorithm:
             "loglocal:",
             "exact:3",
             "wishful:2",
+            "exact:",
+            "greedy:",
+            "wishful:",
+            "squareimp:",
             "power:2",
             "power:0:2",
             "power:2:0",
@@ -183,6 +187,9 @@ class TestParseBenchConfig:
             "gaps diagonal\nfamily f projective q=2\n",
             "oracle_cap\nfamily f projective q=2\n",
             "oracle_cap ten\nfamily f projective q=2\n",
+            "oracle_cap 5 6\nfamily f projective q=2\n",
+            "clique_cap -1\nfamily f projective q=2\n",
+            "oracle_cap -3\nfamily f projective q=2\n",
             "mystery 3\nfamily f projective q=2\n",
             "family f random universe=8 n=4 k=2 weights=5:1\n",
         ],

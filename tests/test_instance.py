@@ -321,6 +321,22 @@ class TestInstanceFromGraph:
             instance_from_graph(2, [(0, 2)])
 
 
+# Faults in the grammar both file formats share, as (instance text, graph
+# text, line): each must fail at that line in both parsers.
+SHARED_GRAMMAR_ERRORS = [
+    ("p setpack 5 2 2\np setpack 5 2 2\n", "p graph 3 1\np graph 3 1\n", 2),
+    ("p setpak 5 2 2\n1 2\n3 4\n", "p grahp 3 1\n1 2\n", 1),
+    ("p setpack x 2 2\n1 2\n3 4\n", "p graph 3 x\n1 2\n", 1),
+    ("p setpack 5 -1 2\n", "p graph 3 -1\n", 1),
+    ("w 1 2\np setpack 5 2 2\n1 2\n3 4\n", "w 1 2 3\np graph 3 1\n1 2\n", 1),
+    ("p setpack 5 2 2\nw 1 2\nw 1 2\n1 2\n3 4\n", "p graph 3 1\nw 1 2 3\nw 1 2 3\n1 2\n", 3),
+    ("p setpack 5 2 2\n1 2\nw 1 2\n3 4\n", "p graph 3 2\n1 2\nw 1 2 3\n2 3\n", 3),
+    ("p setpack 5 2 2\nw 1\n1 2\n3 4\n", "p graph 3 1\nw 1 2\n1 2\n", 2),
+    ("p setpack 5 2 2\n1 x\n3 4\n", "p graph 3 1\n1 x\n", 2),
+    ("1 2\n", "1 2\n", 1),
+]
+
+
 class TestFileFormat:
     @given(instances())
     def test_round_trip(self, instance):
@@ -341,18 +357,14 @@ class TestFileFormat:
 
     @pytest.mark.parametrize(
         "text, lineno",
-        [
-            ("p setpak 5 2 2\n1 2\n3 4\n", 1),
-            ("p setpack 5 2 2\np setpack 5 2 2\n", 2),
-            ("w 1 2\np setpack 5 2 2\n1 2\n3 4\n", 1),
-            ("p setpack 5 2 2\n1 2\nw 1 2\n3 4\n", 3),
-            ("p setpack 5 2 2\nw 1\n1 2\n3 4\n", 2),
+        [(text, lineno) for text, _, lineno in SHARED_GRAMMAR_ERRORS]
+        + [
             ("p setpack 5 2 2\n1 2\n3 4\n5 1\n", 4),
             ("p setpack 5 2 2\n0 1\n3 4\n", 2),
-            ("p setpack 5 2 2\n1 x\n3 4\n", 2),
-            ("1 2\n", 1),
-            ("p setpack x 2 2\n1 2\n3 4\n", 1),
-            ("p setpack 5 -1 2\n", 1),
+            # a set that breaks validate is reported at its own line
+            ("p setpack 5 1 2\n1 6\n", 2),
+            ("c sets\np setpack 5 2 2\n1 2\n\n3 3\n", 5),
+            ("p setpack 5 2 2\nw 1 2\n1 2 3\n4 5\n", 3),
         ],
     )
     def test_parse_errors_carry_line_numbers(self, text, lineno):
@@ -369,6 +381,10 @@ class TestFileFormat:
     def test_parse_rejects_semantically_invalid(self):
         with pytest.raises(ValueError):
             parse_instance("p setpack 5 1 2\n1 6\n")
+        # a violation outside the sets has no line of its own
+        with pytest.raises(ValueError) as err:
+            parse_instance("p setpack 5 1 2\nw 0\n1 2\n")
+        assert not isinstance(err.value, ParseError)
 
 
 class TestGraphFormat:
@@ -385,14 +401,14 @@ class TestGraphFormat:
 
     @pytest.mark.parametrize(
         "text, lineno",
-        [
+        [(text, lineno) for _, text, lineno in SHARED_GRAMMAR_ERRORS]
+        + [
             ("p graph 3 1\n1 1\n", 2),
             ("p graph 3 1\n1 4\n", 2),
             ("p graph 3 1\n1 2 3\n", 2),
             ("p graph 3 1\n1 2\n2 3\n", 3),
             ("p graph 3 2\n1 2\n2 1\n", 3),
             ("p graph 0 0\n", 1),
-            ("1 2\n", 1),
         ],
     )
     def test_parse_errors(self, text, lineno):
